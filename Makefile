@@ -56,7 +56,7 @@ chaos-store:
 check:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/sat ./internal/aig ./internal/cert ./internal/oracle ./internal/core ./internal/defex ./internal/expand ./internal/service ./internal/store ./internal/faults ./internal/leakcheck ./internal/problem ./internal/pqe ./internal/httpapi ./internal/cluster ./internal/cube ./cmd/hqsd
+	$(MAKE) race
 	$(GO) run ./cmd/dqbffuzz -n 200 -seed 1 -cert
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz FuzzDQDIMACSReader -fuzztime 10s
 	$(GO) test ./internal/problem -run '^$$' -fuzz FuzzAIGERReader -fuzztime 10s

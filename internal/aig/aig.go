@@ -287,11 +287,11 @@ func (g *Graph) Fanins(r Ref) (f0, f1 Ref, isAnd bool) {
 	return g.nodes[n].f0, g.nodes[n].f1, true
 }
 
-// Support returns the set of input variables the function rooted at r
-// depends on syntactically.
-func (g *Graph) Support(r Ref) map[cnf.Var]bool {
+// Support returns the set of input variables the functions rooted at roots
+// depend on syntactically.
+func (g *Graph) Support(roots ...Ref) map[cnf.Var]bool {
 	out := make(map[cnf.Var]bool)
-	for _, n := range g.coneNodes(r) {
+	for _, n := range g.coneNodes(roots...) {
 		if v := g.nodes[n].v; v != 0 {
 			out[v] = true
 		}

@@ -17,6 +17,9 @@ import (
 // so that solver runs are reproducible.
 type rng uint64
 
+// simSeed seeds the pattern stream of every sweep.
+const simSeed = 0x2545f4914f6cdd1d
+
 func (r *rng) next() uint64 {
 	x := uint64(*r)
 	x ^= x << 13
@@ -67,8 +70,11 @@ type SweepOracle interface {
 	// equivalent, spending at most conflictBudget conflicts per SAT query
 	// (<=0 unlimited) and honoring bud. Budget exhaustion or errors yield
 	// proven=false (sound: unproven pairs are simply not merged). satCalls
-	// is the number of SAT queries issued (0..2).
-	ProveEquiv(lhs, rhs Ref, conflictBudget int64, bud *budget.Budget) (proven bool, satCalls int)
+	// is the number of SAT queries issued (0..2). When a query refutes the
+	// pair, cex assigns every support variable of lhs and rhs its value in
+	// the refuting model, so lhs and rhs differ under cex; otherwise cex is
+	// nil.
+	ProveEquiv(lhs, rhs Ref, conflictBudget int64, bud *budget.Budget) (proven bool, satCalls int, cex map[cnf.Var]bool)
 	// Footprint returns the oracle solver's current packed-arena size and
 	// cumulative arena compaction count.
 	Footprint() (arenaBytes int, compactions int64)
@@ -85,6 +91,7 @@ type SweepOraclePool interface {
 // SweepStats reports what a sweep did.
 type SweepStats struct {
 	Candidates int // simulation-equivalent pairs tried
+	Refuted    int // candidates refuted by stored counterexamples, with no SAT call
 	Merged     int // pairs proven equivalent and merged
 	SatCalls   int // individual SAT oracle invocations (up to two per pair)
 	Workers    int // size of the worker pool actually used
@@ -101,6 +108,7 @@ type SweepStats struct {
 func (s SweepStats) Counters() map[string]int64 {
 	c := map[string]int64{
 		"candidates": int64(s.Candidates),
+		"refuted":    int64(s.Refuted),
 		"merged":     int64(s.Merged),
 		"satcalls":   int64(s.SatCalls),
 	}
@@ -116,6 +124,7 @@ func (s SweepStats) Counters() map[string]int64 {
 // add accumulates the counters of one sweep into s (peak for ArenaBytes).
 func (s *SweepStats) Add(o SweepStats) {
 	s.Candidates += o.Candidates
+	s.Refuted += o.Refuted
 	s.Merged += o.Merged
 	s.SatCalls += o.SatCalls
 	s.Skipped += o.Skipped
@@ -186,12 +195,114 @@ func (o SweepOptions) poolSize(candidates int) int {
 // sweepCand is one equivalence candidate: prove lhs ≡ rhs (both are edges
 // into the swept cone) and, if proven, redirect node to target. lhs/rhs are
 // literals in the shared cone encoding (fresh-solver mode); lhsRef/rhsRef
-// are the same edges as graph refs (oracle mode).
+// are the same edges as graph refs (oracle mode), and lhsSim/rhsSim as
+// simNet edges (counterexample refinement).
 type sweepCand struct {
 	node           int32 // the node to be merged away
 	target         Ref   // replacement edge installed on success
 	lhs, rhs       cnf.Lit
 	lhsRef, rhsRef Ref
+	lhsSim, rhsSim int32
+}
+
+// simNet is a swept cone flattened for bit-parallel simulation. Position 0
+// is the constant-false node and position i+1 holds cone[i], so positions
+// are topologically ordered and a simulation word per node is a plain
+// slice indexed by position. An edge into the net is encoded as
+// position<<1 | complement (see simEdge).
+type simNet struct {
+	node  []int32    // AIG node at each position
+	in    []cnf.Var  // input variable at each position, 0 for AND gates
+	fanin [][2]int32 // fanin edges of each AND position
+}
+
+func newSimNet(g *Graph, cone []int32) *simNet {
+	n := len(cone) + 1
+	net := &simNet{node: make([]int32, n), in: make([]cnf.Var, n), fanin: make([][2]int32, n)}
+	pos := make(map[int32]int32, len(cone)) // node 0 is absent: position 0
+	for i, nd := range cone {
+		p := int32(i + 1)
+		pos[nd] = p
+		net.node[p] = nd
+		x := &g.nodes[nd]
+		if x.v != 0 {
+			net.in[p] = x.v
+			continue
+		}
+		net.fanin[p] = [2]int32{simEdge(pos[x.f0.node()], x.f0.Compl()), simEdge(pos[x.f1.node()], x.f1.Compl())}
+	}
+	return net
+}
+
+func simEdge(pos int32, compl bool) int32 {
+	if compl {
+		return pos<<1 | 1
+	}
+	return pos << 1
+}
+
+// edgeWord reads the simulation word of net edge e from w.
+func edgeWord(w []uint64, e int32) uint64 {
+	x := w[e>>1]
+	if e&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+// simulate recomputes every AND position of w from its input positions.
+func (net *simNet) simulate(w []uint64) {
+	for p, f := range net.fanin {
+		if p > 0 && net.in[p] == 0 {
+			w[p] = edgeWord(w, f[0]) & edgeWord(w, f[1])
+		}
+	}
+}
+
+// cexWords caps the counterexample pattern words one sweep worker keeps,
+// 64 input vectors each; once all are full the oldest word is overwritten.
+const cexWords = 16
+
+// cexStore is one sweep worker's counterexample patterns: the input vectors
+// of SAT models that refuted earlier candidates, bit-parallel and simulated
+// over the whole cone, so a later candidate whose edges differ on any of
+// them is refuted without a SAT call (FRAIG-style refinement). Every bit of
+// every word is a concrete input vector — bits not yet filled are the
+// all-false vector — so a pair that differs on one is never equivalent and
+// skipping it cannot lose a merge.
+type cexStore struct {
+	net   *simNet
+	words [][]uint64 // words[k][p]: pattern word k at position p
+	n     int        // input vectors recorded so far
+}
+
+// add records one refuting input vector, val giving each input's value, and
+// re-simulates its word over the cone.
+func (s *cexStore) add(val func(cnf.Var) bool) {
+	k, bit := s.n/64%cexWords, uint(s.n%64)
+	if k == len(s.words) {
+		s.words = append(s.words, make([]uint64, len(s.net.in)))
+	} else if bit == 0 {
+		clear(s.words[k])
+	}
+	w := s.words[k]
+	for p, v := range s.net.in {
+		if v != 0 && val(v) {
+			w[p] |= 1 << bit
+		}
+	}
+	s.n++
+	s.net.simulate(w)
+}
+
+// refutes reports whether net edges a and b differ on a stored vector.
+func (s *cexStore) refutes(a, b int32) bool {
+	for _, w := range s.words {
+		if edgeWord(w, a) != edgeWord(w, b) {
+			return true
+		}
+	}
+	return false
 }
 
 // Sweep performs FRAIG-style reduction on the cone of r: nodes with equal
@@ -205,6 +316,10 @@ type sweepCand struct {
 // fixed representative of its signature class), so proven merges are applied
 // in deterministic candidate order afterwards and the swept graph is
 // bit-identical to the serial result whenever no query hits its budget.
+//
+// Each worker keeps the input vectors of the SAT models that refuted its
+// earlier candidates (see cexStore) and skips, without a SAT call, any later
+// candidate those vectors already tell apart.
 func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 	var stats SweepStats
 	// Fault-injection seam: sweeping is an optimization, so a fault here is
@@ -220,14 +335,17 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 	if len(cone) < 2 {
 		return r, stats
 	}
-	support := g.Support(r)
-	vars := make([]cnf.Var, 0, len(support))
-	for v := range support {
-		vars = append(vars, v)
+	net := newSimNet(g, cone)
+	// Input positions sorted by variable, so every input gets the same
+	// pseudo-random pattern stream on every run and sweeping is
+	// deterministic end to end.
+	var inPos []int
+	for p, v := range net.in {
+		if v != 0 {
+			inPos = append(inPos, p)
+		}
 	}
-	// Sorted, so every input gets the same pseudo-random pattern stream on
-	// every run and sweeping is deterministic end to end.
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
+	sort.Slice(inPos, func(i, j int) bool { return net.in[inPos[i]] < net.in[inPos[j]] })
 
 	if opt.SimWords <= 0 {
 		opt.SimWords = 8
@@ -247,66 +365,35 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 		return false
 	}
 
-	// Multi-word patterns, generated word-major over the sorted inputs so the
-	// stream matches the historical one-word-per-round simulation bit for bit
-	// (signatures, buckets, and candidate order are unchanged).
-	seed := rng(0x2545f4914f6cdd1d)
-	patterns := make(map[cnf.Var][]uint64, len(vars))
-	for _, v := range vars {
-		patterns[v] = make([]uint64, opt.SimWords)
-	}
-	for w := 0; w < opt.SimWords; w++ {
-		for _, v := range vars {
-			patterns[v][w] = seed.next()
-		}
-	}
-	// One pass over the cone computes all opt.SimWords signature words per
-	// node at once, instead of opt.SimWords full cone traversals. Deadline
-	// and Budget are polled here too, so a huge cone cancels promptly
-	// mid-simulation rather than only once the candidate loop starts.
-	sigs := make(map[int32][]uint64, len(cone))
-	zeroSig := make([]uint64, opt.SimWords)
-	edgeSig := func(e Ref) ([]uint64, bool) {
-		if e.node() == 0 {
-			return zeroSig, e.Compl()
-		}
-		return sigs[e.node()], e.Compl()
-	}
-	for i, n := range cone {
-		if i&255 == 0 && expired() {
+	// Signature words, generated word-major over the sorted inputs so the
+	// stream matches the historical one-word-per-round simulation bit for
+	// bit (signatures, buckets, and candidate order are unchanged).
+	// Deadline and Budget are polled before each word, so a huge cone
+	// cancels promptly mid-simulation rather than only once the candidate
+	// loop starts.
+	seed := rng(simSeed)
+	sigs := make([][]uint64, opt.SimWords)
+	for w := range sigs {
+		if expired() {
 			// Cancelled mid-simulation: leave the cone unswept (equivalent).
 			return r, stats
 		}
-		nd := &g.nodes[n]
-		sig := make([]uint64, opt.SimWords)
-		if nd.v != 0 {
-			copy(sig, patterns[nd.v])
-		} else {
-			a, ac := edgeSig(nd.f0)
-			b, bc := edgeSig(nd.f1)
-			for w := range sig {
-				aw, bw := a[w], b[w]
-				if ac {
-					aw = ^aw
-				}
-				if bc {
-					bw = ^bw
-				}
-				sig[w] = aw & bw
-			}
+		sigs[w] = make([]uint64, len(net.in))
+		for _, p := range inPos {
+			sigs[w][p] = seed.next()
 		}
-		sigs[n] = sig
+		net.simulate(sigs[w])
 	}
 
-	// Group nodes by normalized signature: if word 0 has bit 0 set, use the
-	// complemented signature (tracking the phase) so that complementary
+	// Group positions by normalized signature: if word 0 has bit 0 set, use
+	// the complemented signature (tracking the phase) so that complementary
 	// functions land in the same bucket.
 	type bucketKey string
-	normSig := func(n int32) (bucketKey, bool) {
-		s := sigs[n]
-		inv := s[0]&1 == 1
-		buf := make([]byte, 0, len(s)*8)
-		for _, w := range s {
+	normSig := func(p int32) (bucketKey, bool) {
+		inv := sigs[0][p]&1 == 1
+		buf := make([]byte, 0, len(sigs)*8)
+		for _, sw := range sigs {
+			w := sw[p]
 			if inv {
 				w = ^w
 			}
@@ -318,12 +405,12 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 	}
 	buckets := make(map[bucketKey][]int32)
 	var keys []bucketKey
-	for _, n := range cone { // cone is topologically sorted, so members are too
-		key, _ := normSig(n)
+	for p := int32(1); p < int32(len(net.in)); p++ { // topological, so members are too
+		key, _ := normSig(p)
 		if _, seen := buckets[key]; !seen {
 			keys = append(keys, key)
 		}
-		buckets[key] = append(buckets[key], n)
+		buckets[key] = append(buckets[key], p)
 	}
 	// Deterministic class order: by topologically smallest representative.
 	sort.Slice(keys, func(i, j int) bool {
@@ -355,19 +442,21 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 		if len(members) < 2 {
 			continue
 		}
-		repNode := members[0]
-		_, invRep := normSig(repNode)
-		repRef := Ref(repNode << 1).XorSign(invRep)
-		for _, n := range members[1:] {
-			_, invN := normSig(n)
-			nRef := Ref(n << 1).XorSign(invN)
+		repPos := members[0]
+		_, invRep := normSig(repPos)
+		repRef := Ref(net.node[repPos] << 1).XorSign(invRep)
+		for _, p := range members[1:] {
+			_, invN := normSig(p)
+			nRef := Ref(net.node[p] << 1).XorSign(invN)
 			cands = append(cands, sweepCand{
-				node:   n,
+				node:   net.node[p],
 				target: repRef.XorSign(invN),
 				lhs:    litOf(repRef),
 				rhs:    litOf(nRef),
 				lhsRef: repRef,
 				rhsRef: nRef,
+				lhsSim: simEdge(repPos, invRep),
+				rhsSim: simEdge(p, invN),
 			})
 		}
 	}
@@ -381,7 +470,8 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 
 	// runWorker checks cands[w], cands[w+workers], ... on a private solver.
 	// Static striding keeps each worker's query sequence — and therefore any
-	// budget-exhaustion outcome — deterministic for a fixed pool size.
+	// budget-exhaustion outcome — deterministic for a fixed pool size; the
+	// counterexample store is private to the worker for the same reason.
 	//
 	// A panic escaping a SAT query (notably an injected one) is contained
 	// here rather than killing the pool: the worker's remaining candidates
@@ -406,30 +496,46 @@ func (g *Graph) Sweep(r Ref, opt SweepOptions) (Ref, SweepStats) {
 			solver.ConflictBudget = opt.ConflictBudget
 			solver.Budget = opt.Budget
 		}
+		cexs := cexStore{net: net}
 		for i := w; i < len(cands); i += workers {
 			if st.Candidates%8 == 0 && expired() {
 				break
 			}
 			st.Candidates++
 			c := cands[i]
+			if cexs.refutes(c.lhsSim, c.rhsSim) {
+				st.Refuted++
+				continue
+			}
 			if orc != nil {
-				ok, calls := orc.ProveEquiv(c.lhsRef, c.rhsRef, opt.ConflictBudget, opt.Budget)
+				ok, calls, cex := orc.ProveEquiv(c.lhsRef, c.rhsRef, opt.ConflictBudget, opt.Budget)
 				st.SatCalls += calls
 				if ok {
 					proven[i] = true
+				} else if cex != nil {
+					cexs.add(func(v cnf.Var) bool { return cex[v] })
 				}
 				continue
 			}
 			// lhs≠rhs ⇔ (lhs ∧ ¬rhs) ∨ (¬lhs ∧ rhs): query both branches
-			// via assumptions.
+			// via assumptions. Inputs keep their AIG variable numbers in the
+			// shared encoding, so a model reads off the refuting inputs.
 			st.SatCalls++
 			s1, err := solver.SolveErr([]cnf.Lit{c.lhs, c.rhs.Not()})
-			if err != nil || s1 == sat.Sat {
+			if err != nil {
+				continue
+			}
+			if s1 == sat.Sat {
+				cexs.add(solver.Model().Get)
 				continue
 			}
 			st.SatCalls++
 			s2, err := solver.SolveErr([]cnf.Lit{c.lhs.Not(), c.rhs})
-			if err != nil || s2 == sat.Sat {
+			if err != nil {
+				continue
+			}
+			if s2 == sat.Sat {
+				cexs.add(solver.Model().Get)
 				continue
 			}
 			proven[i] = true

@@ -104,14 +104,82 @@ func TestSweepStatsCounters(t *testing.T) {
 	if st.ArenaBytes <= 0 {
 		t.Fatal("expected a positive peak arena size")
 	}
-	if st.Candidates < st.Merged {
-		t.Fatalf("candidates %d < merged %d", st.Candidates, st.Merged)
+	if st.Candidates < st.Merged+st.Refuted {
+		t.Fatalf("candidates %d < merged %d + refuted %d", st.Candidates, st.Merged, st.Refuted)
+	}
+	if c := st.Counters(); c["refuted"] != int64(st.Refuted) || c["candidates"] != int64(st.Candidates) {
+		t.Fatalf("counters %v disagree with stats %+v", c, st)
 	}
 	// Aggregation across sweeps keeps peaks and sums.
 	var agg SweepStats
 	agg.Add(st)
-	agg.Add(SweepStats{SatCalls: 1, ArenaBytes: st.ArenaBytes / 2, Workers: 1})
-	if agg.SatCalls != st.SatCalls+1 || agg.ArenaBytes != st.ArenaBytes || agg.Workers != st.Workers {
+	agg.Add(SweepStats{SatCalls: 1, Refuted: 2, ArenaBytes: st.ArenaBytes / 2, Workers: 1})
+	if agg.SatCalls != st.SatCalls+1 || agg.Refuted != st.Refuted+2 || agg.ArenaBytes != st.ArenaBytes || agg.Workers != st.Workers {
 		t.Fatalf("bad aggregation: %+v", agg)
+	}
+}
+
+// TestSweepCounterexampleRefinement sweeps random AIGs with a single
+// simulation word, so many candidates are false, and checks that refuting
+// them from stored counterexamples loses no merge and saves SAT calls.
+// Cubes of three to five literals over eight inputs are sparse functions
+// that one random word often cannot tell apart.
+func TestSweepCounterexampleRefinement(t *testing.T) {
+	rnd := rand.New(rand.NewSource(4242))
+	vs := []cnf.Var{1, 2, 3, 4, 5, 6, 7, 8}
+	refuted := 0
+	for iter := 0; iter < 30; iter++ {
+		g := New()
+		var cubes []Ref
+		for k := 0; k < 30; k++ {
+			cube := True
+			for j := 3 + rnd.Intn(3); j > 0; j-- {
+				cube = g.And(cube, g.Input(vs[rnd.Intn(len(vs))]).XorSign(rnd.Intn(2) == 0))
+			}
+			cubes = append(cubes, cube)
+		}
+		r := g.OrN(cubes...)
+
+		// Reference: the sweep's signature classes for SimWords 1, and the
+		// members whose truth table, in phase, equals their representative's.
+		seed, support := rng(simSeed), g.Support(r)
+		pat := make(map[cnf.Var]uint64)
+		for _, v := range vs {
+			if support[v] {
+				pat[v] = seed.next()
+			}
+		}
+		g.Simulate(r, pat)
+		reps := make(map[uint64][]bool)
+		wantCands, wantMerged := 0, 0
+		for _, n := range g.coneNodes(r) {
+			sig := g.nodes[n].sim
+			tt := truthTable(g, Ref(n<<1).XorSign(sig&1 == 1), vs)
+			key := sig ^ -(sig & 1)
+			rep, ok := reps[key]
+			if !ok {
+				reps[key] = tt
+				continue
+			}
+			wantCands++
+			if eqTables(rep, tt) {
+				wantMerged++
+			}
+		}
+
+		workers := 1 + iter%3
+		_, st := g.Sweep(r, SweepOptions{SimWords: 1, Workers: workers})
+		if st.Candidates != wantCands || st.Merged != wantMerged {
+			t.Fatalf("iter %d (workers=%d): candidates/merged %d/%d, want %d/%d",
+				iter, workers, st.Candidates, st.Merged, wantCands, wantMerged)
+		}
+		if st.SatCalls > 2*(st.Candidates-st.Refuted) {
+			t.Fatalf("iter %d: %d SAT calls for %d candidates, %d refuted",
+				iter, st.SatCalls, st.Candidates, st.Refuted)
+		}
+		refuted += st.Refuted
+	}
+	if refuted == 0 {
+		t.Fatal("no candidate was refuted by a stored counterexample")
 	}
 }

@@ -1,6 +1,8 @@
 package aig
 
 import (
+	"slices"
+
 	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/sat"
@@ -44,14 +46,32 @@ func (b *CNFBuilder) nodeSATVar(n int32) cnf.Var {
 
 // Lit encodes the cone of r (if not yet encoded) and returns the SAT literal
 // equivalent to r.
+//
+// An AND node gets its variable only here, after its fanins, and an input
+// has no fanins, so a node that has a variable has its whole cone encoded:
+// the walk stops there and visits only the unencoded part of the cone.
 func (b *CNFBuilder) Lit(r Ref) cnf.Lit {
-	if r.node() == 0 {
+	if _, done := b.nodeVar[r.node()]; done || r.node() == 0 {
 		return b.edgeLit(r)
 	}
-	for _, n := range b.g.coneNodes(r) {
-		if _, done := b.nodeVar[n]; done {
+	todo := []int32{r.node()}
+	seen := map[int32]bool{r.node(): true}
+	for i := 0; i < len(todo); i++ {
+		nd := &b.g.nodes[todo[i]]
+		if nd.v != 0 {
 			continue
 		}
+		for _, f := range [2]Ref{nd.f0, nd.f1} {
+			c := f.node()
+			if _, done := b.nodeVar[c]; c != 0 && !done && !seen[c] {
+				seen[c] = true
+				todo = append(todo, c)
+			}
+		}
+	}
+	// Node indices are a topological order: fanins are encoded first.
+	slices.Sort(todo)
+	for _, n := range todo {
 		nd := &b.g.nodes[n]
 		sv := b.nodeSATVar(n)
 		if nd.v != 0 {

@@ -200,32 +200,39 @@ func (o *Oracle) IsSatisfiable(r aig.Ref, bud *budget.Budget) (bool, map[cnf.Var
 	if st != sat.Sat {
 		return false, nil, nil
 	}
-	m := o.s.Model()
-	out := make(map[cnf.Var]bool)
-	for v := range o.g.Support(r) {
-		out[v] = m.Get(o.b.InputSATVar(v))
-	}
-	return true, out, nil
+	return true, o.inputValues(r), nil
 }
 
 // ProveEquiv implements aig.SweepOracle: it reports whether the functions
 // rooted at lhs and rhs are equivalent, by refuting both directions of
 // lhs≠rhs with assumption queries. Budget exhaustion and injected faults
-// yield false (unproven), which sweeping treats soundly by not merging.
-func (o *Oracle) ProveEquiv(lhs, rhs aig.Ref, conflictBudget int64, bud *budget.Budget) (bool, int) {
+// yield false (unproven), which sweeping treats soundly by not merging. A
+// satisfiable query yields false together with the model's values of the
+// support variables of lhs and rhs, an input under which the two differ.
+func (o *Oracle) ProveEquiv(lhs, rhs aig.Ref, conflictBudget int64, bud *budget.Budget) (bool, int, map[cnf.Var]bool) {
 	ll := o.b.Lit(lhs)
 	rl := o.b.Lit(rhs)
-	calls := 1
-	s1, err := o.query([]cnf.Lit{ll, rl.Not()}, conflictBudget, bud)
-	if err != nil || s1 != sat.Unsat {
-		return false, calls
+	for calls, assumps := range [2][]cnf.Lit{{ll, rl.Not()}, {ll.Not(), rl}} {
+		st, err := o.query(assumps, conflictBudget, bud)
+		if err != nil || st == sat.Unknown {
+			return false, calls + 1, nil
+		}
+		if st == sat.Sat {
+			return false, calls + 1, o.inputValues(lhs, rhs)
+		}
 	}
-	calls++
-	s2, err := o.query([]cnf.Lit{ll.Not(), rl}, conflictBudget, bud)
-	if err != nil || s2 != sat.Unsat {
-		return false, calls
+	return true, 2, nil
+}
+
+// inputValues reads the last model's values of the support variables of
+// the given roots.
+func (o *Oracle) inputValues(roots ...aig.Ref) map[cnf.Var]bool {
+	m := o.s.Model()
+	out := o.g.Support(roots...)
+	for v := range out {
+		out[v] = m.Get(o.b.InputSATVar(v))
 	}
-	return true, calls
+	return out
 }
 
 // Footprint implements aig.SweepOracle.

@@ -1,6 +1,7 @@
 package oracle_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/aig"
@@ -170,21 +171,67 @@ func TestProveEquiv(t *testing.T) {
 	if redundant == ab {
 		t.Fatal("test needs structurally distinct, semantically equal roots")
 	}
-	proven, calls := o.ProveEquiv(ab, redundant, 0, nil)
-	if !proven || calls != 2 {
-		t.Fatalf("ProveEquiv(a∧b, (a∧b)∧a) = %v in %d calls; want proven in 2", proven, calls)
+	proven, calls, cex := o.ProveEquiv(ab, redundant, 0, nil)
+	if !proven || calls != 2 || cex != nil {
+		t.Fatalf("ProveEquiv(a∧b, (a∧b)∧a) = %v in %d calls, cex %v; want proven in 2, no cex", proven, calls, cex)
 	}
 
-	proven, calls = o.ProveEquiv(ab, a, 0, nil)
-	if proven {
-		t.Fatal("ProveEquiv(a∧b, a) must fail")
-	}
-	if calls < 1 || calls > 2 {
-		t.Fatalf("calls = %d; want 1 or 2", calls)
+	// A refutation hands back an input vector that separates the pair.
+	ac := g.And(a, g.Input(3))
+	for _, rhs := range []aig.Ref{a, ac, ac.Not()} {
+		proven, calls, cex = o.ProveEquiv(ab, rhs, 0, nil)
+		if proven {
+			t.Fatalf("ProveEquiv(a∧b, %v) must fail", rhs)
+		}
+		if calls < 1 || calls > 2 {
+			t.Fatalf("calls = %d; want 1 or 2", calls)
+		}
+		in := func(v cnf.Var) bool { return cex[v] }
+		if g.Eval(ab, in) == g.Eval(rhs, in) {
+			t.Fatalf("cex %v does not separate a∧b from %v", cex, rhs)
+		}
 	}
 
 	if arena, _ := o.Footprint(); arena <= 0 {
 		t.Fatalf("Footprint arena = %d; want > 0", arena)
+	}
+}
+
+// TestSweepWithPoolMatchesFreshSolvers sweeps random sparse cones with one
+// simulation word, once through persistent pool oracles and once on fresh
+// per-sweep solvers: counterexamples from either kind of model must refute
+// candidates without changing the proven merge set.
+func TestSweepWithPoolMatchesFreshSolvers(t *testing.T) {
+	build := func(seed int64) (*aig.Graph, aig.Ref) {
+		rnd := rand.New(rand.NewSource(seed))
+		g := aig.New()
+		var cubes []aig.Ref
+		for k := 0; k < 30; k++ {
+			cube := aig.True
+			for j := 3 + rnd.Intn(3); j > 0; j-- {
+				cube = g.And(cube, g.Input(cnf.Var(1+rnd.Intn(8))).XorSign(rnd.Intn(2) == 0))
+			}
+			cubes = append(cubes, cube)
+		}
+		return g, g.OrN(cubes...)
+	}
+	refuted := 0
+	for seed := int64(0); seed < 20; seed++ {
+		workers := 1 + int(seed%3)
+		gf, rf := build(seed)
+		fresh, fst := gf.Sweep(rf, aig.SweepOptions{SimWords: 1, Workers: workers})
+		gp, rp := build(seed)
+		pooled, pst := gp.Sweep(rp, aig.SweepOptions{SimWords: 1, Workers: workers, Oracles: oracle.NewPool(gp)})
+		if pooled != fresh || pst.Merged != fst.Merged || pst.Candidates != fst.Candidates {
+			t.Fatalf("seed %d: pooled sweep %v (%+v) differs from fresh %v (%+v)", seed, pooled, pst, fresh, fst)
+		}
+		if pst.SatCalls > 2*(pst.Candidates-pst.Refuted) {
+			t.Fatalf("seed %d: %d SAT calls for %d candidates, %d refuted", seed, pst.SatCalls, pst.Candidates, pst.Refuted)
+		}
+		refuted += pst.Refuted
+	}
+	if refuted == 0 {
+		t.Fatal("no candidate was refuted by a stored counterexample")
 	}
 }
 
@@ -206,7 +253,7 @@ func TestPoolWorkerIdentity(t *testing.T) {
 		t.Fatal("distinct worker indices must get distinct oracles")
 	}
 
-	if proven, _ := w0.ProveEquiv(ab, redundant, 0, nil); !proven {
+	if proven, _, _ := w0.ProveEquiv(ab, redundant, 0, nil); !proven {
 		t.Fatal("worker oracle failed a provable equivalence")
 	}
 	if ok, _, err := p.Main().IsSatisfiable(ab, nil); !ok || err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/aig"
 	"repro/internal/faults"
@@ -99,5 +100,27 @@ func TestRunnerFaultMapping(t *testing.T) {
 	}
 	if *ran != 0 {
 		t.Fatal("pass body ran despite injected unknown")
+	}
+}
+
+// TestRunnerChargesInjectedLatency asserts that latency injected at a pass's
+// fault point is charged to that pass's wall time, not only to the solve.
+func TestRunnerChargesInjectedLatency(t *testing.T) {
+	defer faults.Deactivate()
+	const lat = 20 * time.Millisecond
+	plan, err := faults.ParseSpec(fmt.Sprintf("pipeline.sweep:latency:latency=%s", lat), 1)
+	if err != nil {
+		t.Fatalf("ParseSpec: %v", err)
+	}
+	faults.Activate(plan)
+	r := pipeline.NewRunner(&pipeline.State{G: aig.New(), Matrix: aig.True}, nil, "test")
+	pass := pipeline.NewPass("sweep", func(st *pipeline.State) (pipeline.Result, error) {
+		return pipeline.Result{}, nil
+	})
+	if _, err := r.Run(pass); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := r.Total("sweep").Wall; got < lat {
+		t.Fatalf("sweep wall = %v, want >= injected latency %v", got, lat)
 	}
 }

@@ -47,6 +47,9 @@ func (r *Runner) Run(p Pass) (Result, error) {
 	if err := r.st.Stop(); err != nil {
 		return Result{}, err
 	}
+	// The timer starts before the fault seam so that injected latency is
+	// charged to the pass, not only to the surrounding solve.
+	start := time.Now()
 	// Fault-injection seam: every pass has a "pipeline.<pass>" point, so the
 	// chaos harness can target any stage of any pipeline. A spurious Unknown
 	// unwinds like a cancellation; other injected errors surface as hard
@@ -60,7 +63,6 @@ func (r *Runner) Run(p Pass) (Result, error) {
 
 	nodesBefore := r.nodes()
 	univBefore, existBefore := r.prefixSize()
-	start := time.Now()
 	res, err := p.Run(r.st)
 	wall := time.Since(start)
 
