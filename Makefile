@@ -30,12 +30,17 @@ fuzz-smoke:
 
 # Native go-fuzz harnesses, run briefly from the committed corpora: the
 # DQDIMACS reader (no panics; accepted input round-trips), the AIGER reader
-# (no panics; accepted input normalizes to a read/write fixpoint), and the
-# AIG compose/cofactor identities the certificate extractor relies on.
+# (no panics; accepted input normalizes to a read/write fixpoint), the AIG
+# compose/cofactor identities the certificate extractor relies on, and the
+# two decoders of untrusted certificate bytes — the certificate wire codec
+# and the store entry format (no panics; accepted input re-encodes to a
+# fixpoint).
 fuzz-native:
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz FuzzDQDIMACSReader -fuzztime 10s
 	$(GO) test ./internal/problem -run '^$$' -fuzz FuzzAIGERReader -fuzztime 10s
 	$(GO) test ./internal/aig -run '^$$' -fuzz FuzzAIGCompose -fuzztime 10s
+	$(GO) test ./internal/cert -run '^$$' -fuzz FuzzCertDecode -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzEntryUnmarshal -fuzztime 10s
 
 # Chaos drill under the race detector: fault-injected panics, errors, and
 # spurious Unknowns against the scheduler with concurrent submits, cancels,
@@ -57,10 +62,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(MAKE) race
-	$(GO) run ./cmd/dqbffuzz -n 200 -seed 1 -cert
-	$(GO) test ./internal/dqbf -run '^$$' -fuzz FuzzDQDIMACSReader -fuzztime 10s
-	$(GO) test ./internal/problem -run '^$$' -fuzz FuzzAIGERReader -fuzztime 10s
-	$(GO) test ./internal/aig -run '^$$' -fuzz FuzzAIGCompose -fuzztime 10s
+	$(MAKE) fuzz-smoke fuzz-native
 	$(GO) test -race -run 'TestChaos|TestDrainRace' ./internal/service
 	$(GO) test -race -run 'TestStore|TestEntry|TestSchedulerStore' ./internal/store ./internal/service
 	$(GO) test -tags smoke -run TestClusterSmoke ./cmd/hqsc

@@ -116,15 +116,37 @@ func TestReadAAGErrors(t *testing.T) {
 		"",
 		"aig 1 1 0 0 0\n",
 		"aag 1 1 0 0\n",
-		"aag 1 1 1 0 0\n2\n",       // latches unsupported
-		"aag 1 1 0 0 0\n3\n",       // odd input literal
-		"aag 2 1 0 1 0\n2\n6\n",    // output exceeds maxvar
-		"aag 2 1 0 1 1\n2\n4\n4 2", // malformed AND line
-		"aag 2 1 0 1 0\n2\n4\n",    // output uses undefined variable
+		"aag 1 1 1 0 0\n2\n",                  // latches unsupported
+		"aag 1 1 0 0 0\n3\n",                  // odd input literal
+		"aag 2 1 0 1 0\n2\n6\n",               // output exceeds maxvar
+		"aag 2 1 0 1 1\n2\n4\n4 2",            // malformed AND line
+		"aag 2 1 0 1 0\n2\n4\n",               // output uses undefined variable
+		"aag 0 1 0 1 0\n2\n2\n",               // input beyond maxvar
+		"aag 1 1 0 1 1\n2\n4\n4 2 2\n",        // and beyond maxvar
+		"aig 1 1 0 1 0\n2\n",                  // binary flavor
+		"aag 3 1 0 1 1\n2\n4\n4 6 2\n",        // and input never defined
+		"aag 3 1 0 1 2\n2\n4\n4 6 2\n6 2 2\n", // and input defined later
 	}
 	for _, src := range cases {
 		if _, _, err := ReadAAG(strings.NewReader(src)); err == nil {
 			t.Errorf("no error for %q", src)
 		}
+	}
+}
+
+// TestWriteAAGBytesPinned pins the exact bytes WriteAAG emits for a small
+// graph. The output is the certificate wire and store encoding, so a change
+// here is a format change.
+func TestWriteAAGBytesPinned(t *testing.T) {
+	g := New()
+	x, y := g.Input(3), g.Input(7)
+	var buf bytes.Buffer
+	if err := g.WriteAAG(&buf, g.Xor(x, y), g.And(x, y.Not()), True); err != nil {
+		t.Fatal(err)
+	}
+	const want = "aag 5 2 0 3 3\n2\n4\n11\n6\n1\n6 2 5\n8 3 4\n10 7 9\n" +
+		"i0 v3\ni1 v7\nc\nwritten by repro/internal/aig\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteAAG bytes changed:\ngot  %q\nwant %q", got, want)
 	}
 }

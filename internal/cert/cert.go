@@ -31,9 +31,9 @@
 // the functions into a fresh graph, verifies each function's support against
 // the dependency sets of the original formula, substitutes the functions
 // into the original matrix, and asks a SAT solver for a falsifying universal
-// assignment. FromTables converts the table-based certificates of the iDQ
-// baseline (dqbf.Certificate) into the same representation, so one checker
-// code path serves every certificate-producing engine.
+// assignment. FromTables builds the same representation from the Skolem
+// tables of the instantiation-based engines, so one certificate type and one
+// checker serve every certificate-producing engine.
 package cert
 
 import (

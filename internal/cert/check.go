@@ -94,42 +94,36 @@ func Check(f *dqbf.Formula, c *Certificate) error {
 	return fmt.Errorf("cert: certificate falsified at universal assignment {%s}", strings.Join(parts, ","))
 }
 
-// FromTables converts a table-based Skolem certificate (the iDQ baseline's
-// output format, dqbf.Certificate) into the AIG form this package checks:
-// each table becomes default ⊕ (OR of the minterms whose value differs from
-// the default). Existentials without a table get the constant default. The
-// conversion lets the table-producing and function-producing engines share
-// one checker code path.
-func FromTables(f *dqbf.Formula, tc *dqbf.Certificate) (*Certificate, error) {
-	if tc == nil {
-		return nil, fmt.Errorf("cert: no table certificate")
-	}
+// FromTables builds the AIG certificate of the table-producing engines
+// (iDQ, expand) from their Skolem tables: tables[y] maps the projection key
+// (dqbf.ProjectionKey) of an assignment of D_y to y's value there, and every
+// projection absent from the table takes the value false, so y's function is
+// the OR of the minterms mapped to true. Minterms are built in sorted key
+// order, so equal tables give equal graphs. Existentials without a table get
+// the constant false.
+func FromTables(f *dqbf.Formula, tables map[cnf.Var]map[string]bool) *Certificate {
 	out := &Certificate{G: aig.New(), Funcs: make(map[cnf.Var]aig.Ref, len(f.Exist))}
 	g := out.G
 	for _, y := range f.Exist {
 		deps := f.Deps[y].Vars()
-		def := tc.Defaults[y]
-		var flips []string
-		for k, v := range tc.Tables[y] {
-			if len(k) != len(deps) {
-				return nil, fmt.Errorf("cert: table key %q for variable %d has wrong arity (deps %v)", k, y, deps)
-			}
-			if v != def {
-				flips = append(flips, k)
+		var ones []string
+		for k, v := range tables[y] {
+			if v {
+				ones = append(ones, k)
 			}
 		}
-		sort.Strings(flips)
-		minterms := make([]aig.Ref, len(flips))
-		for i, k := range flips {
+		sort.Strings(ones)
+		minterms := make([]aig.Ref, len(ones))
+		for i, k := range ones {
 			lits := make([]aig.Ref, len(deps))
 			for j, d := range deps {
 				lits[j] = g.Input(d).XorSign(k[j] == '0')
 			}
 			minterms[i] = g.AndN(lits...)
 		}
-		out.Funcs[y] = g.OrN(minterms...).XorSign(def)
+		out.Funcs[y] = g.OrN(minterms...)
 	}
-	return out, nil
+	return out
 }
 
 // Format renders the certificate as human-readable Skolem tables against the

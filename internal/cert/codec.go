@@ -73,7 +73,7 @@ func Decode(data []byte) (*Certificate, error) {
 	}
 	vars := make([]cnf.Var, n)
 	for i := range vars {
-		v, err := strconv.Atoi(fields[3+i])
+		v, err := strconv.ParseInt(fields[3+i], 10, 32)
 		if err != nil || v <= 0 {
 			return nil, fmt.Errorf("cert: bad certificate variable %q", fields[3+i])
 		}

@@ -31,7 +31,6 @@ package defex
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/aig"
@@ -575,11 +574,12 @@ func (e *engine) expandResidual(st *pipeline.State) (pipeline.Result, error) {
 		st.Decide(false, "expand")
 		return pipeline.Result{Changed: true}, nil
 	}
-	// Fold the table certificate back as definitions over the (shrunk)
-	// dependency sets: default ⊕ OR of flip minterms, like cert.FromTables.
-	if st.Cert != nil && eres.Certificate != nil {
+	// Fold the residual's Skolem functions back as definitions over the
+	// (shrunk) dependency sets; Export keeps the input variable numbers.
+	if c := eres.Certificate; st.Cert != nil && c != nil {
+		memo := make(map[int32]aig.Ref)
 		for _, z := range e.work.Exist {
-			st.Cert.RecordDef(z, e.tableFunc(fres, eres.Certificate, z))
+			st.Cert.RecordDef(z, c.G.Export(c.Funcs[z], e.g, memo))
 		}
 	}
 	st.Decide(true, "expand")
@@ -590,34 +590,4 @@ func (e *engine) expandResidual(st *pipeline.State) (pipeline.Result, error) {
 			"copies":    int64(eres.Stats.Copies),
 		},
 	}, nil
-}
-
-// tableFunc renders the certificate table of z as an AIG over its residual
-// dependency set.
-func (e *engine) tableFunc(fres *dqbf.Formula, c *dqbf.Certificate, z cnf.Var) aig.Ref {
-	deps := fres.Deps[z].Vars()
-	def := c.Defaults[z]
-	var flips []string
-	for k, v := range c.Tables[z] {
-		if v != def {
-			flips = append(flips, k)
-		}
-	}
-	sort.Strings(flips)
-	or := aig.False
-	for _, k := range flips {
-		minterm := aig.True
-		for i, d := range deps {
-			minterm = e.g.And(minterm, e.g.Input(d).XorSign(k[i] == '0'))
-		}
-		or = e.g.Or(or, minterm)
-	}
-	return e.g.Xor(or, constRef(def))
-}
-
-func constRef(b bool) aig.Ref {
-	if b {
-		return aig.True
-	}
-	return aig.False
 }

@@ -1,15 +1,31 @@
-package dqbf
+package dqbf_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cert"
 	"repro/internal/cnf"
+	"repro/internal/dqbf"
 )
 
+// Skolem tables keyed by ProjectionKey are the certificates of the
+// instantiation-based engines (iDQ, expand); cert.FromTables lifts them into
+// the one certificate type every engine shares. These tests pin the table
+// semantics through that one checker: a table entry gives the value of y
+// under that projection of the universal assignment, an absent entry false.
+
+// tables is a set of Skolem tables: y -> projection key -> value.
+type tables = map[cnf.Var]map[string]bool
+
+// verify checks the tables against f with the shared certificate checker.
+func verify(f *dqbf.Formula, t tables) error {
+	return cert.Check(f, cert.FromTables(f, t))
+}
+
 // ex1 is the paper's Example 1 with matrix (y1↔x1)∧(y2↔x2).
-func ex1() *Formula {
-	f := New()
+func ex1() *dqbf.Formula {
+	f := dqbf.New()
 	f.AddUniversal(1)
 	f.AddUniversal(2)
 	f.AddExistential(3, 1)
@@ -21,128 +37,77 @@ func ex1() *Formula {
 	return f
 }
 
-// identityCert is the witness y1 := x1, y2 := x2.
-func identityCert() *Certificate {
-	return &Certificate{
-		Tables: map[cnf.Var]map[string]bool{
-			3: {"0": false, "1": true},
-			4: {"0": false, "1": true},
-		},
+// identityTables is the witness y1 := x1, y2 := x2.
+func identityTables() tables {
+	return tables{
+		3: {"0": false, "1": true},
+		4: {"0": false, "1": true},
 	}
 }
 
 func TestVerifyValidCertificate(t *testing.T) {
-	if err := identityCert().Verify(ex1()); err != nil {
+	if err := verify(ex1(), identityTables()); err != nil {
 		t.Fatalf("identity certificate rejected: %v", err)
 	}
 }
 
 func TestVerifyRejectsTamperedCertificate(t *testing.T) {
-	c := identityCert()
-	c.Tables[3]["1"] = false // y1 now constant 0: violated at x1=1
-	if err := c.Verify(ex1()); err == nil {
+	c := identityTables()
+	c[3]["1"] = false // y1 now constant 0: violated at x1=1
+	if err := verify(ex1(), c); err == nil {
 		t.Fatal("tampered certificate accepted")
 	}
 }
 
-func TestVerifyRejectsWrongArityKey(t *testing.T) {
-	c := identityCert()
-	c.Tables[3] = map[string]bool{"01": true}
-	if err := c.Verify(ex1()); err == nil {
-		t.Fatal("wrong-arity key accepted")
-	}
-}
-
 func TestVerifySparseDefaults(t *testing.T) {
-	// Only the '1' entries stored; default false supplies the rest.
-	c := &Certificate{
-		Tables: map[cnf.Var]map[string]bool{
-			3: {"1": true},
-			4: {"1": true},
-		},
+	// Only the '1' entries stored; absent projections are false.
+	c := tables{
+		3: {"1": true},
+		4: {"1": true},
 	}
-	if err := c.Verify(ex1()); err != nil {
+	if err := verify(ex1(), c); err != nil {
 		t.Fatalf("sparse certificate rejected: %v", err)
-	}
-}
-
-func TestVerifyDefaultsTrue(t *testing.T) {
-	// With default true, the stored entries are the zeros.
-	c := &Certificate{
-		Tables: map[cnf.Var]map[string]bool{
-			3: {"0": false},
-			4: {"0": false},
-		},
-		Defaults: map[cnf.Var]bool{3: true, 4: true},
-	}
-	if err := c.Verify(ex1()); err != nil {
-		t.Fatalf("default-true certificate rejected: %v", err)
-	}
-}
-
-func TestCertificateEvalMatchesSemantics(t *testing.T) {
-	f := ex1()
-	c := identityCert()
-	for bits := 0; bits < 4; bits++ {
-		a := cnf.NewAssignment(f.Matrix.NumVars)
-		a.Set(1, bits&1 != 0)
-		a.Set(2, bits&2 != 0)
-		if !c.Eval(f, a) {
-			t.Fatalf("identity certificate fails at %02b", bits)
-		}
-	}
-	bad := identityCert()
-	bad.Tables[4]["0"] = true
-	fails := 0
-	for bits := 0; bits < 4; bits++ {
-		a := cnf.NewAssignment(f.Matrix.NumVars)
-		a.Set(1, bits&1 != 0)
-		a.Set(2, bits&2 != 0)
-		if !bad.Eval(f, a) {
-			fails++
-		}
-	}
-	if fails == 0 {
-		t.Fatal("broken certificate evaluates true everywhere")
 	}
 }
 
 func TestProjectionKey(t *testing.T) {
 	deps := []cnf.Var{2, 5, 9}
-	key := ProjectionKey(deps, func(v cnf.Var) bool { return v == 5 })
+	key := dqbf.ProjectionKey(deps, func(v cnf.Var) bool { return v == 5 })
 	if key != "010" {
 		t.Fatalf("key = %q", key)
 	}
-	if ProjectionKey(nil, nil) != "" {
+	if dqbf.ProjectionKey(nil, nil) != "" {
 		t.Fatal("empty deps should give empty key")
 	}
 }
 
 func TestVerifyConstantFunctions(t *testing.T) {
-	// ∀x ∃y(x): y ∨ x — y := 1 constant works; empty table + default true.
-	f := New()
+	// ∀x ∃y(x): y ∨ x — y := 1 constant works; the empty table (y := 0)
+	// fails at x=0.
+	f := dqbf.New()
 	f.AddUniversal(1)
 	f.AddExistential(2, 1)
 	f.Matrix.AddDimacsClause(2, 1)
-	good := &Certificate{Defaults: map[cnf.Var]bool{2: true}}
-	if err := good.Verify(f); err != nil {
+	if err := verify(f, tables{2: {"0": true, "1": true}}); err != nil {
 		t.Fatalf("constant-1 certificate rejected: %v", err)
 	}
-	bad := &Certificate{}
-	if err := bad.Verify(f); err == nil {
+	if err := verify(f, tables{}); err == nil {
 		t.Fatal("constant-0 certificate accepted (fails at x=0)")
 	}
 }
 
-// exhaustiveValid checks a certificate by enumerating universal assignments.
-func exhaustiveValid(f *Formula, c *Certificate) bool {
-	n := len(f.Univ)
-	for bits := 0; bits < 1<<n; bits++ {
+// exhaustiveValid checks tables by enumerating universal assignments.
+func exhaustiveValid(f *dqbf.Formula, c tables) bool {
+	for bits := 0; bits < 1<<len(f.Univ); bits++ {
 		a := cnf.NewAssignment(f.Matrix.NumVars)
 		for i, x := range f.Univ {
 			a.Set(x, bits&(1<<i) != 0)
 		}
-		if !c.Eval(f, a) {
+		for _, y := range f.Exist {
+			key := dqbf.ProjectionKey(f.Deps[y].Vars(), func(v cnf.Var) bool { return a.Get(v) })
+			a.Set(y, c[y][key])
+		}
+		if !f.Matrix.Eval(a) {
 			return false
 		}
 	}
@@ -152,7 +117,7 @@ func exhaustiveValid(f *Formula, c *Certificate) bool {
 func TestVerifyAgreesWithExhaustiveRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 150; iter++ {
-		f := New()
+		f := dqbf.New()
 		nUniv := 1 + rng.Intn(3)
 		for i := 1; i <= nUniv; i++ {
 			f.AddUniversal(cnf.Var(i))
@@ -177,8 +142,8 @@ func TestVerifyAgreesWithExhaustiveRandom(t *testing.T) {
 			}
 			f.Matrix.Clauses = append(f.Matrix.Clauses, c)
 		}
-		// Random certificate.
-		cert := &Certificate{Tables: map[cnf.Var]map[string]bool{}, Defaults: map[cnf.Var]bool{}}
+		// Random sparse tables.
+		c := tables{}
 		for _, y := range f.Exist {
 			deps := f.Deps[y].Vars()
 			tab := map[string]bool{}
@@ -186,7 +151,7 @@ func TestVerifyAgreesWithExhaustiveRandom(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					continue // leave sparse
 				}
-				key := ProjectionKey(deps, func(v cnf.Var) bool {
+				key := dqbf.ProjectionKey(deps, func(v cnf.Var) bool {
 					for i, d := range deps {
 						if d == v {
 							return bits&(1<<i) != 0
@@ -196,13 +161,12 @@ func TestVerifyAgreesWithExhaustiveRandom(t *testing.T) {
 				})
 				tab[key] = rng.Intn(2) == 0
 			}
-			cert.Tables[y] = tab
-			cert.Defaults[y] = rng.Intn(2) == 0
+			c[y] = tab
 		}
-		want := exhaustiveValid(f, cert)
-		got := cert.Verify(f) == nil
+		want := exhaustiveValid(f, c)
+		got := verify(f, c) == nil
 		if got != want {
-			t.Fatalf("iter %d: Verify=%v exhaustive=%v\n%v\n%v", iter, got, want, f, f.Matrix.Clauses)
+			t.Fatalf("iter %d: checker=%v exhaustive=%v\n%v\n%v", iter, got, want, f, f.Matrix.Clauses)
 		}
 	}
 }

@@ -166,3 +166,18 @@ func (s *VarSet) String() string {
 	}
 	return "{" + strings.Join(parts, ",") + "}"
 }
+
+// ProjectionKey renders the projection of a universal assignment onto the
+// ordered dependency set: one byte '0' or '1' per dependency variable in
+// ascending variable order. It is the row key of a Skolem function table.
+func ProjectionKey(deps []cnf.Var, value func(cnf.Var) bool) string {
+	var b strings.Builder
+	for _, d := range deps {
+		if value(d) {
+			b.WriteByte('1')
+		} else {
+			b.WriteByte('0')
+		}
+	}
+	return b.String()
+}

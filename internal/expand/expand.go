@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/cert"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/sat"
@@ -55,9 +56,9 @@ type Stats struct {
 type Result struct {
 	Sat   bool
 	Stats Stats
-	// Certificate holds the Skolem tables of a certified SAT verdict
-	// (Options.Certify); nil otherwise.
-	Certificate *dqbf.Certificate
+	// Certificate holds the Skolem functions of a certified SAT verdict
+	// (Options.Certify), built from the model's copy values; nil otherwise.
+	Certificate *cert.Certificate
 }
 
 // Solver decides DQBF by eager full expansion.
@@ -169,22 +170,19 @@ func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
 	res.Sat = st == sat.Sat
 	if res.Sat && s.Opt.Certify {
 		m := solver.Model()
-		c := &dqbf.Certificate{
-			Tables:   make(map[cnf.Var]map[string]bool),
-			Defaults: make(map[cnf.Var]bool),
-		}
+		tables := make(map[cnf.Var]map[string]bool)
 		for k, v := range copies {
 			at := strings.IndexByte(k, '@')
 			var y cnf.Var
 			fmt.Sscanf(k[:at], "%d", &y)
-			tab, ok := c.Tables[y]
+			tab, ok := tables[y]
 			if !ok {
 				tab = make(map[string]bool)
-				c.Tables[y] = tab
+				tables[y] = tab
 			}
 			tab[k[at+1:]] = m.Get(v)
 		}
-		res.Certificate = c
+		res.Certificate = cert.FromTables(f, tables)
 	}
 	return res, nil
 }

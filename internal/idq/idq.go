@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/cert"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
 	"repro/internal/sat"
@@ -97,11 +98,10 @@ type Result struct {
 	Status Status
 	Sat    bool
 	Stats  Stats
-	// Certificate holds the Skolem tables witnessing a Sat verdict (nil
-	// otherwise); any off-table completion is valid, so the default-false
-	// completion is certified. It can be checked independently with
-	// Certificate.Verify.
-	Certificate *dqbf.Certificate
+	// Certificate holds the Skolem functions witnessing a Sat verdict (nil
+	// otherwise): the verified tables with every off-table projection
+	// completed to false (any completion is valid), ready for cert.Check.
+	Certificate *cert.Certificate
 }
 
 // Solver is the instantiation-based DQBF solver.
@@ -152,16 +152,7 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 	instVar := make(map[projKey]cnf.Var)
 
 	instOf := func(y cnf.Var, a map[cnf.Var]bool) cnf.Var {
-		deps := f.Deps[y].Vars()
-		var b strings.Builder
-		for _, d := range deps {
-			if a[d] {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-		k := projKey{y, b.String()}
+		k := projKey{y, dqbf.ProjectionKey(f.Deps[y].Vars(), func(v cnf.Var) bool { return a[v] })}
 		v, ok := instVar[k]
 		if !ok {
 			v = abs.NewVar()
@@ -278,7 +269,7 @@ func (s *Solver) Solve(f *dqbf.Formula) Result {
 		if !found {
 			res.Status = Solved
 			res.Sat = true
-			res.Certificate = &dqbf.Certificate{Tables: tables}
+			res.Certificate = cert.FromTables(f, tables)
 			return res
 		}
 		k := keyOf(cex)

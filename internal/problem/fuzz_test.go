@@ -3,6 +3,8 @@ package problem
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/aig"
 )
 
 // FuzzAIGERReader drives the AIGER reader (both flavors) with arbitrary
@@ -24,26 +26,26 @@ func FuzzAIGERReader(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		af, err := parseAIGER(data)
+		af, err := aig.Parse(data)
 		if err != nil {
 			return // rejected cleanly
 		}
 		var norm bytes.Buffer
-		if err := af.writeAAG(&norm); err != nil {
-			t.Fatalf("writeAAG on accepted input: %v", err)
+		if err := af.WriteAAG(&norm); err != nil {
+			t.Fatalf("WriteAAG on accepted input: %v", err)
 		}
-		af2, err := parseAIGER(norm.Bytes())
+		af2, err := aig.Parse(norm.Bytes())
 		if err != nil {
 			t.Fatalf("normalized form rejected: %v\ninput: %q\nnormalized: %q", err, data, norm.Bytes())
 		}
 		var again bytes.Buffer
-		if err := af2.writeAAG(&again); err != nil {
-			t.Fatalf("writeAAG on normalized form: %v", err)
+		if err := af2.WriteAAG(&again); err != nil {
+			t.Fatalf("WriteAAG on normalized form: %v", err)
 		}
 		if !bytes.Equal(norm.Bytes(), again.Bytes()) {
 			t.Fatalf("read/write fixpoint violated:\nfirst:  %q\nsecond: %q", norm.Bytes(), again.Bytes())
 		}
-		p, err := af.toProblem()
+		p, err := aigerToProblem(af)
 		if err != nil {
 			return // encoding may reject (e.g. pathological quantifier splits)
 		}

@@ -338,25 +338,10 @@ func runHQS(p *problem.Problem, b *budget.Budget, sink trace.Sink) Outcome {
 	out := Outcome{Engine: EngineHQS}
 	switch res.Status {
 	case core.Solved:
-		out.Reason = "solved"
 		if res.Sat {
-			// Under -certify a SAT verdict must survive the independent
-			// checker, exactly like the iDQ engine's table certificates.
-			if opt.Certify {
-				if err := verifySkolem(f, res.Certificate, res.CertErr); err != nil {
-					return Outcome{
-						Verdict: VerdictError,
-						Engine:  EngineHQS,
-						Reason:  "error",
-						Error:   fmt.Sprintf("skolem certificate rejected: %v", err),
-					}
-				}
-				out.Cert = res.Certificate
-			}
-			out.Verdict = VerdictSat
-		} else {
-			out.Verdict = VerdictUnsat
+			return satOutcome(EngineHQS, f, res.Certificate, res.CertErr, opt.Certify)
 		}
+		out.Reason, out.Verdict = "solved", VerdictUnsat
 	case core.Timeout:
 		out.Reason = "timeout"
 	case core.Memout:
@@ -373,26 +358,9 @@ func runIDQ(f *dqbf.Formula, b *budget.Budget) Outcome {
 	switch res.Status {
 	case idq.Solved:
 		if res.Sat {
-			// Do not report SAT on the strength of the solver alone: the
-			// emitted Skolem certificate is checked independently first. A
-			// certificate the checker rejects means the solver (or the
-			// memory under it) is broken, and the honest answer is Error,
-			// not a silent SAT.
-			ac, err := verifyCertificate(f, res.Certificate)
-			if err != nil {
-				return Outcome{
-					Verdict: VerdictError,
-					Engine:  EngineIDQ,
-					Reason:  "error",
-					Error:   fmt.Sprintf("skolem certificate rejected: %v", err),
-				}
-			}
-			out.Cert = ac
-			out.Verdict = VerdictSat
-		} else {
-			out.Verdict = VerdictUnsat
+			return satOutcome(EngineIDQ, f, res.Certificate, nil, true)
 		}
-		out.Reason = "solved"
+		out.Reason, out.Verdict = "solved", VerdictUnsat
 	case idq.Timeout:
 		out.Reason = "timeout"
 	case idq.Memout:
@@ -415,23 +383,10 @@ func runDefex(f *dqbf.Formula, b *budget.Budget, sink trace.Sink) Outcome {
 	out := Outcome{Engine: EngineDefex}
 	switch res.Status {
 	case defex.Solved:
-		out.Reason = "solved"
 		if res.Sat {
-			if opt.Certify {
-				if err := verifySkolem(f, res.Certificate, res.CertErr); err != nil {
-					return Outcome{
-						Verdict: VerdictError,
-						Engine:  EngineDefex,
-						Reason:  "error",
-						Error:   fmt.Sprintf("skolem certificate rejected: %v", err),
-					}
-				}
-				out.Cert = res.Certificate
-			}
-			out.Verdict = VerdictSat
-		} else {
-			out.Verdict = VerdictUnsat
+			return satOutcome(EngineDefex, f, res.Certificate, res.CertErr, opt.Certify)
 		}
+		out.Reason, out.Verdict = "solved", VerdictUnsat
 	case defex.Timeout:
 		out.Reason = "timeout"
 	case defex.Memout:
@@ -442,7 +397,7 @@ func runDefex(f *dqbf.Formula, b *budget.Budget, sink trace.Sink) Outcome {
 	return out
 }
 
-// runExpand runs the eager full-expansion reference engine. Its table
+// runExpand runs the eager full-expansion reference engine. Its
 // certificates are always checked (the iDQ trust policy): the engine exists
 // for cross-checking, so an unverified SAT from it has no value.
 func runExpand(f *dqbf.Formula, b *budget.Budget) Outcome {
@@ -467,59 +422,40 @@ func runExpand(f *dqbf.Formula, b *budget.Budget) Outcome {
 		return out
 	}
 	if res.Sat {
-		ac, err := verifyCertificate(f, res.Certificate)
-		if err != nil {
-			return Outcome{
-				Verdict: VerdictError,
-				Engine:  EngineExpand,
-				Reason:  "error",
-				Error:   fmt.Sprintf("skolem certificate rejected: %v", err),
-			}
-		}
-		out.Cert = ac
-		out.Verdict = VerdictSat
-	} else {
-		out.Verdict = VerdictUnsat
+		return satOutcome(EngineExpand, f, res.Certificate, nil, true)
 	}
-	out.Reason = "solved"
+	out.Reason, out.Verdict = "solved", VerdictUnsat
 	return out
 }
 
-// verifyCertificate checks a table-based Skolem certificate against the
-// formula by lifting it into the shared AIG checker (internal/cert) — the
-// same code path that validates HQS-extracted certificates — and returns
-// the lifted certificate so the outcome can carry it to the persistent
-// store. A nil certificate passes with a nil result — engines without
-// certificate support report bare verdicts.
-func verifyCertificate(f *dqbf.Formula, c *dqbf.Certificate) (*cert.Certificate, error) {
-	if err := faults.Fire(faults.CertVerify); err != nil {
-		return nil, err
+// satOutcome reports a SAT verdict of engine eng. With check set the
+// verdict must first survive the independent certificate checker: the
+// certificate is not trusted on the solver's word, and one the checker
+// rejects (or that extraction failed to produce) means the engine, or the
+// memory under it, is broken, so the honest answer is Error, not a silent
+// SAT. iDQ and expand answers are always checked; HQS and defex answers
+// under SetCertifyHQS. Every check fires the service.certify fault point
+// once. The checked certificate rides on the outcome to the store.
+func satOutcome(eng Engine, f *dqbf.Formula, c *cert.Certificate, extractErr error, check bool) Outcome {
+	if !check {
+		return Outcome{Verdict: VerdictSat, Engine: eng, Reason: "solved"}
 	}
-	if c == nil {
-		return nil, nil
+	err := faults.Fire(faults.CertVerify)
+	if err == nil && extractErr != nil {
+		err = fmt.Errorf("extraction failed: %w", extractErr)
 	}
-	ac, err := cert.FromTables(f, c)
+	if err == nil {
+		err = cert.Check(f, c)
+	}
 	if err != nil {
-		return nil, err
+		return Outcome{
+			Verdict: VerdictError,
+			Engine:  eng,
+			Reason:  "error",
+			Error:   fmt.Sprintf("skolem certificate rejected: %v", err),
+		}
 	}
-	if err := cert.Check(f, ac); err != nil {
-		return nil, err
-	}
-	return ac, nil
-}
-
-// verifySkolem checks an HQS-extracted certificate (one independent SAT
-// call), surfacing an extraction failure or a missing certificate as a
-// verification failure. It shares the service.certify fault point with the
-// table path.
-func verifySkolem(f *dqbf.Formula, c *cert.Certificate, extractErr error) error {
-	if err := faults.Fire(faults.CertVerify); err != nil {
-		return err
-	}
-	if extractErr != nil {
-		return fmt.Errorf("extraction failed: %w", extractErr)
-	}
-	return cert.Check(f, c)
+	return Outcome{Verdict: VerdictSat, Engine: eng, Reason: "solved", Cert: c}
 }
 
 // pqeMeters counts PQE queries answered and failed, the PQE analogue of the

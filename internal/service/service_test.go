@@ -13,6 +13,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
+	"repro/internal/problem"
 )
 
 // paperExample1 is ∀x1∀x2 ∃y1(x1) ∃y2(x2) with matrix (y1↔x1)∧(y2↔x2):
@@ -244,10 +245,10 @@ func TestCanonicalHashInvariance(t *testing.T) {
 	perm.Matrix.AddDimacsClause(1, -3)
 	perm.Matrix.AddDimacsClause(-1, 3)
 
-	if CanonicalHash(base) != CanonicalHash(perm) {
+	if problem.CanonicalFormulaHash(base) != problem.CanonicalFormulaHash(perm) {
 		t.Fatal("hash not invariant under prefix/clause/literal reordering")
 	}
-	if CanonicalHash(base) == CanonicalHash(unsatExample()) {
+	if problem.CanonicalFormulaHash(base) == problem.CanonicalFormulaHash(unsatExample()) {
 		t.Fatal("distinct formulas collide")
 	}
 
@@ -255,7 +256,7 @@ func TestCanonicalHashInvariance(t *testing.T) {
 	// else agrees.
 	dep := paperExample1()
 	dep.Deps[3].Add(2)
-	if CanonicalHash(base) == CanonicalHash(dep) {
+	if problem.CanonicalFormulaHash(base) == problem.CanonicalFormulaHash(dep) {
 		t.Fatal("hash ignores dependency sets")
 	}
 }

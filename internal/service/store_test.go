@@ -9,6 +9,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/faults"
 	"repro/internal/leakcheck"
+	"repro/internal/problem"
 	"repro/internal/store"
 )
 
@@ -84,7 +85,7 @@ func TestSchedulerStoreWarmStart(t *testing.T) {
 func TestSchedulerStoreRejectsBadCertificate(t *testing.T) {
 	dir := t.TempDir()
 	f := paperExample1()
-	key := CanonicalHash(f)
+	key := problem.CanonicalFormulaHash(f)
 	st0 := quietStore(t, dir)
 	// y1 and y2 pinned to constant false: violates y1↔x1 under x1=1, so the
 	// checker must reject, even though the entry's bytes are pristine.
@@ -131,7 +132,7 @@ func TestSchedulerStoreBareSATUnderCertify(t *testing.T) {
 	f := paperExample1()
 	st0 := quietStore(t, dir)
 	if err := st0.Put(&store.Entry{
-		Key: CanonicalHash(f), Verdict: store.VerdictSat, Engine: "hqs",
+		Key: problem.CanonicalFormulaHash(f), Verdict: store.VerdictSat, Engine: "hqs",
 		CreatedUnix: time.Now().Unix(),
 	}); err != nil {
 		t.Fatal(err)

@@ -8,17 +8,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 
-	"repro/internal/aig"
 	"repro/internal/cert"
-	"repro/internal/cnf"
 )
 
 // Binary entry layout (all integers little-endian):
 //
 //	[0:4]   magic "DQST"
-//	[4:6]   format version (currently 1)
+//	[4:6]   format version (currently 2)
 //	[6:8]   flags (bit 0: entry carries a certificate)
 //	[8:12]  payload length in bytes
 //	[12:16] reserved (zero)
@@ -34,11 +31,8 @@ import (
 //	decisions      int64
 //	solve time     int64 (milliseconds)
 //	created        int64 (unix seconds)
-//	certificate    (only with flag bit 0) uint32 function count, then the
-//	               existential variable of each function as int32 in
-//	               ascending order, then uint32 length + ASCII-AIGER (aag)
-//	               bytes holding the function cones, one output per
-//	               function in the same order
+//	certificate    (only with flag bit 0) uint32 length + the cert.Encode
+//	               bytes of the Skolem certificate (its wire form)
 //
 // The checksum makes torn writes and bit flips detectable; the version field
 // makes the format evolvable (a reader rejects versions it does not speak,
@@ -47,7 +41,7 @@ import (
 // marshal round-trip suite.
 const (
 	entryMagic   = "DQST"
-	entryVersion = 1
+	entryVersion = 2
 
 	flagHasCert = 1 << 0
 
@@ -90,7 +84,7 @@ func (v Verdict) String() string {
 // certificate-producing engines — the Skolem certificate that makes the
 // verdict independently re-checkable on load.
 type Entry struct {
-	// Key is the hex-encoded canonical formula hash (service.CanonicalHash).
+	// Key is the hex-encoded canonical formula hash (problem.CanonicalFormulaHash).
 	Key string
 	// Verdict is the persisted answer (SAT or UNSAT only).
 	Verdict Verdict
@@ -148,9 +142,14 @@ func (e *Entry) MarshalBinary() ([]byte, error) {
 	flags := uint16(0)
 	if e.Cert != nil {
 		flags |= flagHasCert
-		if err := marshalCert(&payload, e.Cert); err != nil {
-			return nil, err
+		blob, err := cert.Encode(e.Cert)
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
 		}
+		var u32 [4]byte
+		binary.LittleEndian.PutUint32(u32[:], uint32(len(blob)))
+		payload.Write(u32[:])
+		payload.Write(blob)
 	}
 
 	out := make([]byte, 0, headerLen+payload.Len()+4)
@@ -162,40 +161,6 @@ func (e *Entry) MarshalBinary() ([]byte, error) {
 	out = append(out, payload.Bytes()...)
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 	return out, nil
-}
-
-// marshalCert appends the certificate section: function variables in
-// ascending order, then the cones as one deterministic ASCII-AIGER blob with
-// one output per function.
-func marshalCert(w *bytes.Buffer, c *cert.Certificate) error {
-	if c.G == nil {
-		return fmt.Errorf("store: certificate without a graph")
-	}
-	vars := make([]cnf.Var, 0, len(c.Funcs))
-	for v := range c.Funcs {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(vars)))
-	w.Write(u32[:])
-	outs := make([]aig.Ref, len(vars))
-	var i32 [4]byte
-	for i, v := range vars {
-		binary.LittleEndian.PutUint32(i32[:], uint32(int32(v)))
-		w.Write(i32[:])
-		outs[i] = c.Funcs[v]
-	}
-
-	var aag bytes.Buffer
-	if err := c.G.WriteAAG(&aag, outs...); err != nil {
-		return fmt.Errorf("store: serializing certificate: %w", err)
-	}
-	binary.LittleEndian.PutUint32(u32[:], uint32(aag.Len()))
-	w.Write(u32[:])
-	w.Write(aag.Bytes())
-	return nil
 }
 
 // UnmarshalBinary decodes an entry, rejecting short reads, bad magic, bad
@@ -259,9 +224,19 @@ func (e *Entry) UnmarshalBinary(data []byte) error {
 
 	e.Cert = nil
 	if flags&flagHasCert != 0 {
-		c, err := unmarshalCert(r)
+		var u32 [4]byte
+		if _, err := io.ReadFull(r, u32[:]); err != nil {
+			return fmt.Errorf("%w: truncated certificate length", ErrCorrupt)
+		}
+		n := binary.LittleEndian.Uint32(u32[:])
+		if int64(n) > int64(r.Len()) {
+			return fmt.Errorf("%w: certificate length %d, %d bytes remain", ErrCorrupt, n, r.Len())
+		}
+		blob := make([]byte, n)
+		r.Read(blob) // cannot fall short: n <= r.Len()
+		c, err := cert.Decode(blob)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		e.Cert = c
 	}
@@ -269,52 +244,4 @@ func (e *Entry) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Len())
 	}
 	return nil
-}
-
-func unmarshalCert(r *bytes.Reader) (*cert.Certificate, error) {
-	var u32 [4]byte
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated certificate function count", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(u32[:])
-	if int(n) > r.Len()/4 {
-		return nil, fmt.Errorf("%w: certificate claims %d functions in %d bytes", ErrCorrupt, n, r.Len())
-	}
-	vars := make([]cnf.Var, n)
-	for i := range vars {
-		if _, err := io.ReadFull(r, u32[:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated certificate variable list", ErrCorrupt)
-		}
-		v := cnf.Var(int32(binary.LittleEndian.Uint32(u32[:])))
-		if v <= 0 {
-			return nil, fmt.Errorf("%w: certificate variable %d", ErrCorrupt, v)
-		}
-		vars[i] = v
-	}
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated certificate blob length", ErrCorrupt)
-	}
-	blobLen := binary.LittleEndian.Uint32(u32[:])
-	if int(blobLen) != r.Len() {
-		return nil, fmt.Errorf("%w: certificate blob length %d, %d bytes remain", ErrCorrupt, blobLen, r.Len())
-	}
-	blob := make([]byte, blobLen)
-	if _, err := io.ReadFull(r, blob); err != nil {
-		return nil, fmt.Errorf("%w: truncated certificate blob", ErrCorrupt)
-	}
-	g, outs, err := aig.ReadAAG(bytes.NewReader(blob))
-	if err != nil {
-		return nil, fmt.Errorf("%w: certificate AIG: %v", ErrCorrupt, err)
-	}
-	if len(outs) != len(vars) {
-		return nil, fmt.Errorf("%w: certificate has %d cones for %d variables", ErrCorrupt, len(outs), len(vars))
-	}
-	c := &cert.Certificate{G: g, Funcs: make(map[cnf.Var]aig.Ref, len(vars))}
-	for i, v := range vars {
-		if _, dup := c.Funcs[v]; dup {
-			return nil, fmt.Errorf("%w: duplicate certificate variable %d", ErrCorrupt, v)
-		}
-		c.Funcs[v] = outs[i]
-	}
-	return c, nil
 }

@@ -189,3 +189,38 @@ func TestEntryMarshalRejects(t *testing.T) {
 		t.Fatal("non-definitive verdict marshalled")
 	}
 }
+
+// FuzzEntryUnmarshal drives the entry decoder — the reader of every file in
+// the store directory — with arbitrary bytes. The invariants: decoding never
+// panics, and an accepted entry re-marshals to bytes that survive
+// Unmarshal→Marshal byte-identically.
+func FuzzEntryUnmarshal(f *testing.F) {
+	for _, withCert := range []bool{false, true} {
+		b, err := testEntry(withCert).MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var e Entry
+		if err := e.UnmarshalBinary(data); err != nil {
+			return
+		}
+		b1, err := e.MarshalBinary()
+		if err != nil {
+			t.Fatalf("MarshalBinary of an accepted entry: %v", err)
+		}
+		var d Entry
+		if err := d.UnmarshalBinary(b1); err != nil {
+			t.Fatalf("re-marshalled entry rejected: %v", err)
+		}
+		b2, err := d.MarshalBinary()
+		if err != nil {
+			t.Fatalf("MarshalBinary of the re-read entry: %v", err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("Unmarshal→Marshal not a fixpoint: %d vs %d bytes", len(b1), len(b2))
+		}
+	})
+}
