@@ -56,11 +56,14 @@ chaos:
 chaos-store:
 	$(GO) test -race -run 'TestStore|TestEntry|TestSchedulerStore' -v ./internal/store ./internal/service
 
-# The PR gate: vet, the full test suite, the race pass, the certified fuzz
-# smoke, the native fuzz harnesses, and both chaos drills.
+# The PR gate: vet, the full test suite, the same two for the benchmark
+# module (hqsbench is its own Go module, so ./... never reaches it), the race
+# pass, the certified fuzz smoke, the native fuzz harnesses, and both chaos
+# drills.
 check:
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd hqsbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) race
 	$(MAKE) fuzz-smoke fuzz-native
 	$(GO) test -race -run 'TestChaos|TestDrainRace' ./internal/service

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/budget"
+	"repro/internal/problem"
 	"repro/internal/service"
 )
 
@@ -159,8 +160,8 @@ func main() {
 		solved, unknown := 0, 0
 		start := time.Now()
 		for _, inst := range instances {
-			out, err := service.Run(inst.Formula, service.EnginePortfolio,
-				budget.New(budget.Limits{Timeout: *timeout, Nodes: *nodeLim}))
+			out, err := service.RunTracedProblem(problem.FromDQBF(inst.Formula), service.EnginePortfolio,
+				budget.New(budget.Limits{Timeout: *timeout, Nodes: *nodeLim}), nil)
 			if err != nil {
 				fatal(err)
 			}

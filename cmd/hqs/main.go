@@ -22,7 +22,8 @@
 // a SAT verdict carry a Skolem certificate: the solver extracts per-variable
 // Skolem functions, the independent checker (internal/cert) validates them
 // against the input formula, and the certificate is printed as Skolem tables
-// on stdout; a rejected certificate is an error exit, never a bare SAT.
+// on stdout; a rejected certificate is an error exit, never a bare SAT. The
+// other engines are always run this way, so -cert only adds the printout.
 package main
 
 import (
@@ -121,10 +122,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "hqs:", err)
 			os.Exit(1)
 		}
-		// The service path re-checks HQS SAT answers itself (and always checks
-		// iDQ certificates); -cert opts the HQS arms in.
-		service.SetCertifyHQS(*certFlag)
-		runService(prob, eng, bud, *stats, sink, rec)
+		// The service path checks every engine's SAT certificate itself;
+		// -cert only prints it.
+		runService(prob, eng, bud, *stats, *certFlag, sink, rec)
 	}
 
 	opt := core.DefaultOptions()
@@ -241,10 +241,11 @@ func runPQE(p *problem.Problem, bud *budget.Budget) {
 }
 
 // runService decides the problem through internal/service (engines other
-// than the native hqs core) and exits with the solver exit codes. The HQS
-// arm of the selected engine emits pass events to sink; rec backs the
-// -trace table.
-func runService(p *problem.Problem, eng service.Engine, bud *budget.Budget, stats bool, sink trace.Sink, rec *trace.Recorder) {
+// than the native hqs core) and exits with the solver exit codes. Every SAT
+// answer arrives with a checked certificate, printed when printCert is set;
+// an answer whose certificate was rejected is an error exit. The HQS arm of
+// the selected engine emits pass events to sink; rec backs the -trace table.
+func runService(p *problem.Problem, eng service.Engine, bud *budget.Budget, stats, printCert bool, sink trace.Sink, rec *trace.Recorder) {
 	start := time.Now()
 	out, err := service.RunTracedProblem(p, eng, bud, sink)
 	if err != nil {
@@ -260,9 +261,16 @@ func runService(p *problem.Problem, eng service.Engine, bud *budget.Budget, stat
 		fmt.Fprintf(os.Stderr, "c reason    %s\n", out.Reason)
 		fmt.Fprintf(os.Stderr, "c conflicts %d, decisions %d\n", out.Conflicts, out.Decisions)
 	}
+	if out.Verdict == service.VerdictError {
+		fmt.Fprintln(os.Stderr, "hqs:", out.Error)
+		os.Exit(1)
+	}
 	fmt.Println(out.Verdict)
 	switch out.Verdict {
 	case service.VerdictSat:
+		if printCert {
+			fmt.Print(cert.Format(p.Formula, out.Cert))
+		}
 		os.Exit(10)
 	case service.VerdictUnsat:
 		os.Exit(20)

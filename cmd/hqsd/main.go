@@ -78,7 +78,7 @@ func main() {
 		faultSpec    = flag.String("faults", "", "fault-injection plan for chaos drills, e.g. 'sat.solve:panic:p=0.1'")
 		faultSeed    = flag.Int64("fault-seed", 1, "seed for probabilistic fault rules")
 		traceEvents  = flag.Int("trace-events", 0, "per-job pass-trace retention in events (0 = default 1024, negative = disable)")
-		certify      = flag.Bool("certify", false, "verify a Skolem certificate before reporting any HQS SAT verdict")
+		certify      = flag.Bool("certify", false, "verify a Skolem certificate before reporting any HQS or defex SAT verdict (iDQ and expand are always checked)")
 		storeDir     = flag.String("store", "", "directory for the persistent result/certificate store (empty = memory cache only)")
 		historySize  = flag.Int("history", 0, "finished jobs kept queryable before eviction (0 = default 512)")
 		retryMax     = flag.Int("retry-attempts", 0, "runs per engine in the fallback chain, first included (0 = default 2)")
@@ -92,7 +92,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hqsd:", err)
 		os.Exit(1)
 	}
-	service.SetCertifyHQS(*certify)
 	if *faultSpec != "" {
 		plan, err := faults.ParseSpec(*faultSpec, *faultSeed)
 		if err != nil {
@@ -129,7 +128,8 @@ func main() {
 			BaseDelay:   *retryBase,
 			MaxDelay:    *retryCeiling,
 		},
-		Store: st,
+		Store:   st,
+		Certify: *certify,
 	})
 	srv := httpapi.New(sched)
 	srv.MaxBody = *maxBody

@@ -2,9 +2,9 @@
 // DQDIMACS (or QDIMACS) formula and decides it by counterexample-guided
 // expansion, printing SAT, UNSAT, or UNKNOWN with the conventional solver
 // exit codes (10 for SAT, 20 for UNSAT, 1 for errors, 2 for
-// unknown/resource-outs). The -engine flag can redirect the solve to the
-// HQS core or a portfolio racing both engines; -timeout is enforced through
-// a cancellable budget that interrupts running SAT oracles.
+// unknown/resource-outs). It is the baseline solver only: the other engines
+// and the portfolio are selected with hqs -engine. -timeout is enforced
+// through a cancellable budget that interrupts running SAT oracles.
 package main
 
 import (
@@ -18,13 +18,11 @@ import (
 	"repro/internal/budget"
 	"repro/internal/dqbf"
 	"repro/internal/idq"
-	"repro/internal/service"
 )
 
 func main() {
 	var (
 		timeout = flag.Duration("timeout", 0, "wall-clock limit (0 = none)")
-		engine  = flag.String("engine", "idq", "solver engine: idq | hqs | portfolio")
 		maxInst = flag.Int("max-instantiations", 0, "instantiated clause limit (0 = none)")
 		workers = flag.Int("workers", 0, "cap on OS threads running Go code (0 = leave GOMAXPROCS alone)")
 		stats   = flag.Bool("stats", false, "print solver statistics to stderr")
@@ -59,35 +57,6 @@ func main() {
 	}
 
 	bud := budget.New(budget.Limits{Timeout: *timeout})
-
-	if *engine != "idq" {
-		eng, err := service.ParseEngine(*engine)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "idq:", err)
-			os.Exit(1)
-		}
-		start := time.Now()
-		out, err := service.Run(formula, eng, bud)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "idq:", err)
-			os.Exit(1)
-		}
-		if *stats {
-			fmt.Fprintf(os.Stderr, "c time      %v\n", time.Since(start))
-			fmt.Fprintf(os.Stderr, "c engine    %s\n", out.Engine)
-			fmt.Fprintf(os.Stderr, "c reason    %s\n", out.Reason)
-			fmt.Fprintf(os.Stderr, "c conflicts %d, decisions %d\n", out.Conflicts, out.Decisions)
-		}
-		fmt.Println(out.Verdict)
-		switch out.Verdict {
-		case service.VerdictSat:
-			os.Exit(10)
-		case service.VerdictUnsat:
-			os.Exit(20)
-		default:
-			os.Exit(2)
-		}
-	}
 
 	start := time.Now()
 	res := idq.New(idq.Options{Budget: bud, MaxInstantiations: *maxInst}).Solve(formula)

@@ -147,6 +147,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 500 * time.Millisecond
 	}
+	cfg.Retry = cfg.Retry.WithDefaults()
 	return &Coordinator{
 		cfg:    cfg,
 		ring:   newRing(cfg.Workers, cfg.VNodes),
@@ -247,11 +248,10 @@ func (c *Coordinator) forward(ctx context.Context, key, path string, body []byte
 	order := c.ring.order(key)
 	retry := c.cfg.Retry
 	var lastErr error
-	attempts := maxAttempts(retry)
-	for round := 0; round < attempts; round++ {
+	for round := 0; round < retry.MaxAttempts; round++ {
 		if round > 0 {
 			select {
-			case <-time.After(Backoff(retry, round-1)):
+			case <-time.After(backoff(retry, round-1)):
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -287,28 +287,14 @@ func (c *Coordinator) forward(ctx context.Context, key, path string, body []byte
 	return nil, lastErr
 }
 
-func maxAttempts(p service.RetryPolicy) int {
-	if p.MaxAttempts <= 0 {
-		return 2
-	}
-	return p.MaxAttempts
-}
-
-// Backoff is the coordinator's copy of the service retry schedule, built
-// from the exported policy fields: BaseDelay doubling per round, capped at
-// MaxDelay (service defaults for zero values, without the jitter — ring
-// walks are already decorrelated by key).
-func Backoff(p service.RetryPolicy, round int) time.Duration {
-	base, ceil := p.BaseDelay, p.MaxDelay
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	if ceil <= 0 {
-		ceil = 250 * time.Millisecond
-	}
-	d := base << uint(round)
-	if d <= 0 || d > ceil {
-		d = ceil
+// backoff is the delay before failover round round+1 under a policy with
+// its defaults applied: BaseDelay doubling per round, capped at MaxDelay.
+// Unlike the service's retry backoff it has no jitter — ring walks are
+// already decorrelated by key.
+func backoff(p service.RetryPolicy, round int) time.Duration {
+	d := p.BaseDelay << uint(round)
+	if d <= 0 || d > p.MaxDelay { // <= 0 guards shift overflow
+		d = p.MaxDelay
 	}
 	return d
 }

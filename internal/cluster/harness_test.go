@@ -112,7 +112,7 @@ func paperExample1Wide() *dqbf.Formula {
 // serialVerdict is the oracle: the serial HQS core on the same formula.
 func serialVerdict(t *testing.T, f *dqbf.Formula) service.Verdict {
 	t.Helper()
-	res := core.New(core.DefaultOptions()).SolveDQBF(f)
+	res := core.New(core.DefaultOptions()).Solve(problem.FromDQBF(f))
 	if res.Status != core.Solved {
 		t.Fatalf("serial solve did not finish: %v", res.Status)
 	}

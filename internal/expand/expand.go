@@ -15,6 +15,7 @@
 package expand
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -61,6 +62,11 @@ type Result struct {
 	Certificate *cert.Certificate
 }
 
+// ErrTooLarge is wrapped by the error Solve returns when the formula has
+// more universals than Options.MaxUniversals: the expansion refusal that
+// callers treat as this engine's memory limit.
+var ErrTooLarge = errors.New("expand: expansion too large")
+
 // Solver decides DQBF by eager full expansion.
 type Solver struct {
 	Opt Options
@@ -81,7 +87,7 @@ func (s *Solver) Solve(f *dqbf.Formula) (Result, error) {
 		limit = 20
 	}
 	if len(f.Univ) > limit {
-		return res, fmt.Errorf("expand: %d universal variables exceed limit %d", len(f.Univ), limit)
+		return res, fmt.Errorf("%w: %d universal variables exceed limit %d", ErrTooLarge, len(f.Univ), limit)
 	}
 	var deadline time.Time
 	if s.Opt.Timeout > 0 {

@@ -1,6 +1,7 @@
 package expand
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dqbf"
 	"repro/internal/idq"
+	"repro/internal/problem"
 )
 
 func paperExample1() *dqbf.Formula {
@@ -97,7 +99,7 @@ func TestThreeWayAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := hqs.SolveDQBF(f)
+		h := hqs.Solve(problem.FromDQBF(f))
 		q := idq.New(idq.Options{}).Solve(f)
 		if h.Status != core.Solved || q.Status != idq.Solved {
 			t.Fatalf("iter %d: solver did not finish (%v/%v)", iter, h.Status, q.Status)
@@ -118,11 +120,11 @@ func TestUniversalLimit(t *testing.T) {
 		f.Matrix.AddDimacsClause(n + 1)
 		return f
 	}
-	if _, err := New(Options{}).Solve(mk(25)); err == nil {
-		t.Fatal("expected limit error for 25 universals (default limit 20)")
+	if _, err := New(Options{}).Solve(mk(25)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("25 universals (default limit 20): err = %v, want ErrTooLarge", err)
 	}
-	if _, err := New(Options{MaxUniversals: 5}).Solve(mk(6)); err == nil {
-		t.Fatal("expected limit error for 6 universals at limit 5")
+	if _, err := New(Options{MaxUniversals: 5}).Solve(mk(6)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("6 universals at limit 5: err = %v, want ErrTooLarge", err)
 	}
 	if res, err := New(Options{MaxUniversals: 5}).Solve(mk(5)); err != nil || !res.Sat {
 		t.Fatalf("5 universals at limit 5 should solve: %v %v", res.Sat, err)

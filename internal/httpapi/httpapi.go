@@ -250,7 +250,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) (*service.Job, b
 	if !ok {
 		return nil, false
 	}
-	job, err := s.sched.SubmitProblemIdem(p, eng, lim, r.Header.Get(IdempotencyHeader))
+	job, err := s.sched.Submit(p, eng, lim, r.Header.Get(IdempotencyHeader))
 	switch {
 	case errors.Is(err, service.ErrQueueFull):
 		// Load shedding: the client should back off and retry, which is 429,

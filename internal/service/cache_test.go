@@ -110,7 +110,7 @@ func TestSchedulerCacheHitOnPermutedInput(t *testing.T) {
 	s := NewScheduler(Config{Workers: 1, DefaultTimeout: 5 * time.Second})
 	defer drainNow(t, s)
 
-	j1, err := s.Submit(parseDQ(t, dqdimacsA), EngineHQS, Limits{})
+	j1, err := s.Submit(problem.FromDQBF(parseDQ(t, dqdimacsA)), EngineHQS, Limits{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSchedulerCacheHitOnPermutedInput(t *testing.T) {
 		t.Fatalf("first solve verdict = %v, want SAT", out.Verdict)
 	}
 
-	j2, err := s.Submit(parseDQ(t, dqdimacsB), EngineHQS, Limits{})
+	j2, err := s.Submit(problem.FromDQBF(parseDQ(t, dqdimacsB)), EngineHQS, Limits{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

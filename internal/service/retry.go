@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/budget"
-	"repro/internal/dqbf"
 	"repro/internal/problem"
 	"repro/internal/trace"
 )
@@ -24,7 +23,9 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
+// WithDefaults fills zero fields with the defaults documented on the
+// fields; the scheduler and the cluster coordinator both apply it once.
+func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 2
 	}
@@ -107,24 +108,20 @@ func classify(out Outcome, b *budget.Budget) attemptDisposition {
 	}
 }
 
-// Solve decides f with retry and engine fallback: each engine in
-// FallbackChain(eng) is attempted up to pol.MaxAttempts times with
-// exponential backoff and jitter between attempts, transient failures
-// (panics, oracle errors, unexplained Unknowns) trigger retries, and
-// engine-local resource exhaustion falls through to the next engine. The
-// returned outcome carries the total attempt count and fallback depth. This
-// is the entry point the scheduler uses; Run is the single-attempt variant.
-func Solve(f *dqbf.Formula, eng Engine, b *budget.Budget, pol RetryPolicy) Outcome {
-	return solveRetry(problem.FromDQBF(f), eng, b, pol, nil, nil)
-}
-
-// solveRetry is Solve with an observer invoked after every attempt (used by
-// the scheduler to meter retries, fallbacks, and contained panics without
-// losing intermediate outcomes) and a per-pass trace sink threaded into
+// solveRetry decides p with retry and engine fallback, the scheduler's
+// driver around runGuarded: each engine in FallbackChain(eng) is attempted
+// up to pol.MaxAttempts times with exponential backoff and jitter between
+// attempts, transient failures (panics, oracle errors, unexplained
+// Unknowns) trigger retries, and engine-local resource exhaustion falls
+// through to the next engine. The returned outcome carries the total attempt
+// count and fallback depth. certify is the scheduler's certification
+// setting, passed to every attempt; observe is invoked after every attempt
+// (the scheduler meters retries, fallbacks, and contained panics with it
+// without losing intermediate outcomes); sink receives the pass trace of
 // every HQS attempt, retries and fallback runs included (so a job's trace
 // shows the full attempt history, not just the final run).
-func solveRetry(p *problem.Problem, eng Engine, b *budget.Budget, pol RetryPolicy, observe func(Outcome), sink trace.Sink) Outcome {
-	pol = pol.withDefaults()
+func solveRetry(p *problem.Problem, eng Engine, b *budget.Budget, pol RetryPolicy, certify bool, observe func(Outcome), sink trace.Sink) Outcome {
+	pol = pol.WithDefaults()
 	if _, err := ParseEngine(string(eng)); err != nil {
 		return Outcome{Verdict: VerdictError, Reason: "error", Error: err.Error(), Attempts: 0}
 	}
@@ -141,7 +138,7 @@ func solveRetry(p *problem.Problem, eng Engine, b *budget.Budget, pol RetryPolic
 				return last
 			}
 			attempts++
-			out := runGuarded(p, e, b, sink)
+			out := runGuarded(p, e, b, sink, certify)
 			out.Attempts = attempts
 			out.Fallbacks = ci
 			out.Conflicts = b.ConflictsUsed()

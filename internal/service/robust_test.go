@@ -8,13 +8,14 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/dqbf"
+	"repro/internal/problem"
 )
 
 // TestPanicBecomesErrorVerdict: a SAT-oracle panic on every call must not
 // escape Run — it becomes a VerdictError outcome with the stack preserved.
 func TestPanicBecomesErrorVerdict(t *testing.T) {
 	withFaults(t, "sat.solve:panic", 1)
-	out, err := Run(unsatExample(), EngineIDQ, budget.New(budget.Limits{}))
+	out, err := RunTracedProblem(problem.FromDQBF(unsatExample()), EngineIDQ, budget.New(budget.Limits{}), nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -33,7 +34,7 @@ func TestPanicBecomesErrorVerdict(t *testing.T) {
 // cost one retry, not the verdict.
 func TestRetryRecoversFromTransientFault(t *testing.T) {
 	withFaults(t, "sat.solve:panic:times=1", 1)
-	out := Solve(unsatExample(), EngineIDQ, budget.New(budget.Limits{}), RetryPolicy{BaseDelay: time.Millisecond})
+	out := solveRetry(problem.FromDQBF(unsatExample()), EngineIDQ, budget.New(budget.Limits{}), RetryPolicy{BaseDelay: time.Millisecond}, false, nil, nil)
 	if out.Verdict != VerdictUnsat {
 		t.Fatalf("verdict = %v (%s: %s), want UNSAT after retry", out.Verdict, out.Reason, out.Error)
 	}
@@ -49,7 +50,7 @@ func TestRetryRecoversFromTransientFault(t *testing.T) {
 // spare must be retried rather than reported.
 func TestSpuriousUnknownIsRetried(t *testing.T) {
 	withFaults(t, "sat.solve:unknown:times=1", 1)
-	out := Solve(unsatExample(), EngineIDQ, budget.New(budget.Limits{}), RetryPolicy{BaseDelay: time.Millisecond})
+	out := solveRetry(problem.FromDQBF(unsatExample()), EngineIDQ, budget.New(budget.Limits{}), RetryPolicy{BaseDelay: time.Millisecond}, false, nil, nil)
 	if out.Verdict != VerdictUnsat {
 		t.Fatalf("verdict = %v (%s), want UNSAT after retry", out.Verdict, out.Reason)
 	}
@@ -92,7 +93,7 @@ func xorLinkedDQBF() *dqbf.Formula {
 // permanently kills HQS on a cyclic instance while leaving iDQ untouched.
 func TestFallbackChainReachesBaseline(t *testing.T) {
 	withFaults(t, "maxsat.solve:error", 1)
-	out := Solve(xorLinkedDQBF(), EngineHQS, budget.New(budget.Limits{}), RetryPolicy{BaseDelay: time.Millisecond})
+	out := solveRetry(problem.FromDQBF(xorLinkedDQBF()), EngineHQS, budget.New(budget.Limits{}), RetryPolicy{BaseDelay: time.Millisecond}, false, nil, nil)
 	if out.Verdict != VerdictSat {
 		t.Fatalf("verdict = %v (%s: %s), want SAT via fallback", out.Verdict, out.Reason, out.Error)
 	}
@@ -131,18 +132,21 @@ func TestFallbackChainShape(t *testing.T) {
 }
 
 // TestCertificateFailureIsError: a SAT verdict whose Skolem certificate
-// fails verification must surface as ERROR, never as a silent SAT.
+// fails verification must surface as ERROR, never as a silent SAT. Outside
+// a scheduler every engine is checked, the portfolio's arms included.
 func TestCertificateFailureIsError(t *testing.T) {
 	withFaults(t, "service.certify:error", 1)
-	out, err := Run(paperExample1(), EngineIDQ, budget.New(budget.Limits{}))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if out.Verdict != VerdictError {
-		t.Fatalf("verdict = %v, want ERROR on certificate rejection", out.Verdict)
-	}
-	if !strings.Contains(out.Error, "certificate") {
-		t.Fatalf("error text = %q, want certificate rejection", out.Error)
+	for _, eng := range Engines {
+		out, err := RunTracedProblem(problem.FromDQBF(paperExample1()), eng, budget.New(budget.Limits{}), nil)
+		if err != nil {
+			t.Fatalf("%s: RunTracedProblem: %v", eng, err)
+		}
+		if out.Verdict != VerdictError {
+			t.Fatalf("%s: verdict = %v, want ERROR on certificate rejection", eng, out.Verdict)
+		}
+		if !strings.Contains(out.Error, "certificate") {
+			t.Fatalf("%s: error text = %q, want certificate rejection", eng, out.Error)
+		}
 	}
 }
 
@@ -161,7 +165,7 @@ func TestSchedulerMetersRetriesAndErrors(t *testing.T) {
 
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
-		j, err := s.Submit(unsatExample(), EngineIDQ, Limits{})
+		j, err := s.Submit(problem.FromDQBF(unsatExample()), EngineIDQ, Limits{}, "")
 		if err != nil {
 			t.Fatal(err)
 		}

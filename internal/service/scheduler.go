@@ -61,6 +61,11 @@ type Config struct {
 	// certificate re-verified first; rejects are quarantined and re-solved.
 	// The scheduler does not close the store — its opener does.
 	Store *store.Store
+	// Certify makes the HQS and defex engines extract a Skolem certificate
+	// and has every SAT answer they give checked before it is reported; iDQ
+	// and expand answers are checked either way. It also raises the store's
+	// bar: a SAT entry without a certificate is re-solved, not served.
+	Certify bool
 }
 
 func (c Config) withDefaults() Config {
@@ -82,7 +87,7 @@ func (c Config) withDefaults() Config {
 	if c.TraceEvents == 0 {
 		c.TraceEvents = 1024
 	}
-	c.Retry = c.Retry.withDefaults()
+	c.Retry = c.Retry.WithDefaults()
 	return c
 }
 
@@ -340,38 +345,30 @@ func NewScheduler(cfg Config) *Scheduler {
 	return s
 }
 
-// Submit validates and enqueues a bare-formula job; it lifts the formula
-// into a Problem and delegates to SubmitProblem. The formula is cloned, so
-// the caller may reuse f.
-func (s *Scheduler) Submit(f *dqbf.Formula, eng Engine, lim Limits) (*Job, error) {
-	return s.SubmitProblem(problem.FromDQBF(f), eng, lim)
-}
-
-// SubmitProblem validates and enqueues a job for an ingested problem of any
+// Submit validates and enqueues a job for an ingested problem of any
 // formula kind (PQE queries are not jobs — they are answered synchronously
-// by SolvePQE). The problem is cloned, so the caller may reuse p. A cache
-// hit completes the job immediately without queueing. Returns ErrQueueFull
-// when the queue has no slot and ErrDraining once Drain has begun — the
-// draining check and the queue send happen under one lock with Drain's
-// queue close, so a job is either rejected with ErrDraining or enqueued
-// before the close and guaranteed to reach a terminal state.
+// by SolvePQE); bare formulas enter through problem.FromDQBF. The problem is
+// cloned, so the caller may reuse p. An empty eng selects the configured
+// default engine. A cache hit completes the job immediately without
+// queueing. Returns ErrQueueFull when the queue has no slot and ErrDraining
+// once Drain has begun — the draining check and the queue send happen under
+// one lock with Drain's queue close, so a job is either rejected with
+// ErrDraining or enqueued before the close and guaranteed to reach a
+// terminal state.
 //
 // The cache/store key is the problem's canonical hash, which is computed on
 // the normalized formula: the same instance ingested as DQDIMACS and as a
 // BENCH netlist shares one cache and store entry.
-func (s *Scheduler) SubmitProblem(p *problem.Problem, eng Engine, lim Limits) (*Job, error) {
-	return s.SubmitProblemIdem(p, eng, lim, "")
-}
-
-// SubmitProblemIdem is SubmitProblem with an idempotency key: while a job
-// submitted under the same non-empty key is still tracked (queued, running,
-// or finished-but-unevicted), resubmits return that job instead of creating
-// a new one, and count as IdemHits rather than submissions. The cluster
+//
+// idemKey is an optional idempotency key ("" for none): while a job
+// submitted under the same key is still tracked (queued, running, or
+// finished-but-unevicted), resubmits return that job instead of creating a
+// new one, and count as IdemHits rather than submissions. The cluster
 // coordinator keys forwarded submits on canonical hash plus attempt number,
 // so a forward retried after a network failure cannot double-run — and
 // double-count — a job the worker had in fact accepted. Keys unregister when
 // their job is evicted from history.
-func (s *Scheduler) SubmitProblemIdem(p *problem.Problem, eng Engine, lim Limits, idemKey string) (*Job, error) {
+func (s *Scheduler) Submit(p *problem.Problem, eng Engine, lim Limits, idemKey string) (*Job, error) {
 	if eng == "" {
 		eng = s.cfg.DefaultEngine
 	}
@@ -511,7 +508,7 @@ func (s *Scheduler) storeLookup(f *dqbf.Formula, key string) (out Outcome, ok bo
 			// A bare SAT entry (written by an engine without certificate
 			// support) cannot be re-proved; while certification is on it does
 			// not meet the service's bar, so re-solve instead of trusting it.
-			if certifyHQS.Load() {
+			if s.cfg.Certify {
 				return Outcome{}, false
 			}
 		} else if err := cert.Check(f, e.Cert); err != nil {
@@ -703,7 +700,7 @@ func (s *Scheduler) runJob(job *Job) {
 	if job.trc != nil {
 		sink = job.trc
 	}
-	out := solveRetry(job.p, job.eng, job.bud, s.cfg.Retry, func(att Outcome) {
+	out := solveRetry(job.p, job.eng, job.bud, s.cfg.Retry, s.cfg.Certify, func(att Outcome) {
 		attempt++
 		if attempt > 1 {
 			s.retries.Add(1)

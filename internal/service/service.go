@@ -214,40 +214,24 @@ type Outcome struct {
 	// Cert is the verified Skolem certificate backing a SAT verdict, carried
 	// so the scheduler's persistent store can write it next to the result
 	// (and re-verify it on every future load). Nil for UNSAT, for engines
-	// that emitted none, and for HQS/defex runs without -certify. Not part
+	// that emitted none, and for uncertified HQS/defex runs. Not part
 	// of the JSON surface — certificates are large and internal.
 	Cert *cert.Certificate `json:"-"`
 }
 
-// Run decides f with the given engine under budget b (nil means unlimited).
-// It performs exactly one attempt — no retries or fallbacks (see Solve for
-// the hardened entry point) — but panics are still isolated into a
-// VerdictError outcome, and SAT answers carrying a Skolem certificate are
-// verified before being reported. The formula is not modified.
-// Conflict/decision meters are read from b, so callers wanting per-call
-// totals should pass a fresh budget per call.
-func Run(f *dqbf.Formula, eng Engine, b *budget.Budget) (Outcome, error) {
-	return RunTraced(f, eng, b, nil)
-}
-
-// RunTraced is Run with a per-pass trace sink; both lift the bare formula
-// into a Problem and delegate to the Problem entry points below.
-func RunTraced(f *dqbf.Formula, eng Engine, b *budget.Budget, sink trace.Sink) (Outcome, error) {
-	return RunTracedProblem(problem.FromDQBF(f), eng, b, sink)
-}
-
-// RunProblem decides an ingested problem (any formula kind, from any input
-// format) with the given engine under budget b. See Run for the attempt
-// semantics.
-func RunProblem(p *problem.Problem, eng Engine, b *budget.Budget) (Outcome, error) {
-	return RunTracedProblem(p, eng, b, nil)
-}
-
-// RunTracedProblem is RunProblem with a per-pass trace sink: every pipeline
-// pass the HQS engine executes (in portfolio mode, the HQS arm) emits one
-// structured trace.Event to sink. A nil sink disables tracing; the iDQ
-// engine has no pass pipeline and emits nothing. PQE problems are not
-// engine jobs — route them through SolvePQE instead.
+// RunTracedProblem decides an ingested problem (any formula kind, from any
+// input format) with the given engine under budget b (nil means unlimited).
+// It performs exactly one attempt — retries and fallbacks are the
+// scheduler's job — but panics are still isolated into a VerdictError
+// outcome. Outside a scheduler there is no certification setting, so every
+// engine's SAT answer must survive the independent certificate checker
+// before it is reported. The problem is not modified. Conflict/decision
+// meters are read from b, so callers wanting per-call totals should pass a
+// fresh budget per call.
+//
+// Every pipeline pass the HQS engine executes (in portfolio mode, the HQS
+// arm) emits one structured trace.Event to sink; a nil sink disables
+// tracing. PQE problems are not engine jobs — route them through SolvePQE.
 func RunTracedProblem(p *problem.Problem, eng Engine, b *budget.Budget, sink trace.Sink) (Outcome, error) {
 	if _, err := ParseEngine(string(eng)); err != nil {
 		return Outcome{}, err
@@ -255,7 +239,7 @@ func RunTracedProblem(p *problem.Problem, eng Engine, b *budget.Budget, sink tra
 	if p.Formula == nil {
 		return Outcome{}, fmt.Errorf("service: %s problem has no formula (use SolvePQE for PQE queries)", p.Kind)
 	}
-	out := runGuarded(p, eng, b, sink)
+	out := runGuarded(p, eng, b, sink, true)
 	out.Attempts = 1
 	out.Conflicts = b.ConflictsUsed()
 	out.Decisions = b.DecisionsUsed()
@@ -264,8 +248,10 @@ func RunTracedProblem(p *problem.Problem, eng Engine, b *budget.Budget, sink tra
 
 // runGuarded executes one engine attempt with panic isolation: a panic
 // anywhere in the engine (or injected by a fault plan) is converted into a
-// VerdictError outcome carrying the message and captured stack.
-func runGuarded(p *problem.Problem, eng Engine, b *budget.Budget, sink trace.Sink) (out Outcome) {
+// VerdictError outcome carrying the message and captured stack. certify
+// makes the HQS and defex engines extract a Skolem certificate and have
+// their SAT answers checked; iDQ and expand answers are always checked.
+func runGuarded(p *problem.Problem, eng Engine, b *budget.Budget, sink trace.Sink, certify bool) (out Outcome) {
 	if m := engineMeters[eng]; m != nil {
 		m.attempts.Add(1)
 		defer func() {
@@ -290,15 +276,15 @@ func runGuarded(p *problem.Problem, eng Engine, b *budget.Budget, sink trace.Sin
 	}()
 	switch eng {
 	case EngineHQS:
-		return runHQS(p, b, sink)
+		return runHQS(p, b, sink, certify)
 	case EngineIDQ:
 		return runIDQ(p.Formula, b)
 	case EngineDefex:
-		return runDefex(p.Formula, b, sink)
+		return runDefex(p.Formula, b, sink, certify)
 	case EngineExpand:
 		return runExpand(p.Formula, b)
 	default:
-		return runPortfolio(p, b, sink)
+		return runPortfolio(p, b, sink, certify)
 	}
 }
 
@@ -318,22 +304,12 @@ func reasonFromErr(err error) string {
 	}
 }
 
-// certifyHQS, when set, makes every HQS run extract a Skolem certificate and
-// has the service verify it before a SAT verdict is reported (the same
-// trust policy the iDQ engine always gets). Atomic because portfolio mode
-// runs HQS arms on concurrent goroutines.
-var certifyHQS atomic.Bool
-
-// SetCertifyHQS toggles certificate-checked HQS SAT verdicts service-wide
-// (hqs -cert / hqsd -certify).
-func SetCertifyHQS(on bool) { certifyHQS.Store(on) }
-
-func runHQS(p *problem.Problem, b *budget.Budget, sink trace.Sink) Outcome {
+func runHQS(p *problem.Problem, b *budget.Budget, sink trace.Sink, certify bool) Outcome {
 	f := p.Formula
 	opt := core.DefaultOptions()
 	opt.Budget = b
 	opt.Trace = sink
-	opt.Certify = certifyHQS.Load()
+	opt.Certify = certify
 	res := core.New(opt).Solve(p)
 	out := Outcome{Engine: EngineHQS}
 	switch res.Status {
@@ -372,13 +348,13 @@ func runIDQ(f *dqbf.Formula, b *budget.Budget) Outcome {
 }
 
 // runDefex runs the definition-extraction engine. Like HQS it extracts AIG
-// Skolem certificates, so it shares the certifyHQS trust policy: under
-// -certify a SAT verdict must survive the independent checker.
-func runDefex(f *dqbf.Formula, b *budget.Budget, sink trace.Sink) Outcome {
+// Skolem certificates, so it shares the HQS trust policy: with certify set
+// a SAT verdict must survive the independent checker.
+func runDefex(f *dqbf.Formula, b *budget.Budget, sink trace.Sink, certify bool) Outcome {
 	opt := defex.DefaultOptions()
 	opt.Budget = b
 	opt.Trace = sink
-	opt.Certify = certifyHQS.Load()
+	opt.Certify = certify
 	res := defex.New(opt).Solve(f)
 	out := Outcome{Engine: EngineDefex}
 	switch res.Status {
@@ -411,7 +387,7 @@ func runExpand(f *dqbf.Formula, b *budget.Budget) Outcome {
 			errors.Is(err, budget.ErrConflicts),
 			errors.Is(err, budget.ErrDecisions):
 			out.Reason = reasonFromErr(b.Err())
-		case strings.Contains(err.Error(), "exceed limit"):
+		case errors.Is(err, expand.ErrTooLarge):
 			// The expansion refusal is this engine's memory limit.
 			out.Reason = "memout"
 		default:
@@ -434,7 +410,7 @@ func runExpand(f *dqbf.Formula, b *budget.Budget) Outcome {
 // rejects (or that extraction failed to produce) means the engine, or the
 // memory under it, is broken, so the honest answer is Error, not a silent
 // SAT. iDQ and expand answers are always checked; HQS and defex answers
-// under SetCertifyHQS. Every check fires the service.certify fault point
+// when the run certifies. Every check fires the service.certify fault point
 // once. The checked certificate rides on the outcome to the store.
 func satOutcome(eng Engine, f *dqbf.Formula, c *cert.Certificate, extractErr error, check bool) Outcome {
 	if !check {
@@ -458,29 +434,15 @@ func satOutcome(eng Engine, f *dqbf.Formula, c *cert.Certificate, extractErr err
 	return Outcome{Verdict: VerdictSat, Engine: eng, Reason: "solved", Cert: c}
 }
 
-// pqeMeters counts PQE queries answered and failed, the PQE analogue of the
-// per-engine counters.
-var pqeMeters struct{ queries, failures atomic.Int64 }
-
-// PQEStats returns the process-wide (queries answered, failures) totals of
-// SolvePQE.
-func PQEStats() (queries, failures int64) {
-	return pqeMeters.queries.Load(), pqeMeters.failures.Load()
-}
-
 // SolvePQE answers a partial-quantifier-elimination query under budget b
 // (nil means unlimited) with the same failure containment engine runs get:
 // a panic anywhere in the PQE engine becomes an error, never a dead caller.
 // On success the returned result's Q satisfies Q ∧ ∃X[G] ≡ ∃X[F ∧ G].
 func SolvePQE(sp *problem.PQESplit, b *budget.Budget, sink trace.Sink) (res *pqe.Result, err error) {
-	pqeMeters.queries.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
 			err = fmt.Errorf("pqe engine panicked: %v\n%s", r, debug.Stack())
-		}
-		if err != nil {
-			pqeMeters.failures.Add(1)
 		}
 	}()
 	return pqe.Solve(sp, pqe.Options{Budget: b, Trace: sink})
@@ -501,7 +463,7 @@ var PortfolioArms = []Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand}
 // Each arm runs guarded in its own goroutine, so a panicking engine loses
 // the race instead of killing the process; the portfolio reports Error only
 // when no arm produced a verdict and at least one failed outright.
-func runPortfolio(p *problem.Problem, b *budget.Budget, sink trace.Sink) Outcome {
+func runPortfolio(p *problem.Problem, b *budget.Budget, sink trace.Sink, certify bool) Outcome {
 	arms := PortfolioArms
 	buds := make([]*budget.Budget, len(arms))
 	ch := make(chan Outcome, len(arms))
@@ -519,7 +481,7 @@ func runPortfolio(p *problem.Problem, b *budget.Budget, sink trace.Sink) Outcome
 			armSink = sink
 		}
 		go func(eng Engine, cb *budget.Budget, s trace.Sink) {
-			ch <- runGuarded(p, eng, cb, s)
+			ch <- runGuarded(p, eng, cb, s, certify)
 		}(eng, buds[i], armSink)
 	}
 

@@ -73,31 +73,52 @@ func pigeonholeDQBF(n int) *dqbf.Formula {
 	return f
 }
 
+// wideExpandDQBF has 21 universals, one more than the expand engine's
+// default expansion limit; the single existential depends on all of them.
+func wideExpandDQBF() *dqbf.Formula {
+	f := dqbf.New()
+	for v := 1; v <= 21; v++ {
+		f.AddUniversal(cnf.Var(v))
+	}
+	f.AddExistential(22, f.Univ...)
+	f.Matrix.AddDimacsClause(22)
+	return f
+}
+
 func TestRunEngines(t *testing.T) {
-	for _, eng := range Engines {
-		for _, tc := range []struct {
-			f    *dqbf.Formula
-			want Verdict
-		}{
-			{paperExample1(), VerdictSat},
-			{unsatExample(), VerdictUnsat},
-		} {
-			out, err := Run(tc.f, eng, budget.WithTimeout(30*time.Second))
+	for _, tc := range []struct {
+		f       *dqbf.Formula
+		engines []Engine
+		want    Verdict
+		reason  string
+	}{
+		{paperExample1(), Engines, VerdictSat, "solved"},
+		{unsatExample(), Engines, VerdictUnsat, "solved"},
+		// The expansion refusal is the expand engine's memory limit.
+		{wideExpandDQBF(), []Engine{EngineExpand}, VerdictUnknown, "memout"},
+	} {
+		for _, eng := range tc.engines {
+			out, err := RunTracedProblem(problem.FromDQBF(tc.f), eng, budget.WithTimeout(30*time.Second), nil)
 			if err != nil {
-				t.Fatalf("%s: Run: %v", eng, err)
+				t.Fatalf("%s: RunTracedProblem: %v", eng, err)
 			}
 			if out.Verdict != tc.want {
 				t.Fatalf("%s: verdict = %v, want %v", eng, out.Verdict, tc.want)
 			}
-			if out.Reason != "solved" {
-				t.Fatalf("%s: reason = %q, want solved", eng, out.Reason)
+			if out.Reason != tc.reason {
+				t.Fatalf("%s: reason = %q, want %q", eng, out.Reason, tc.reason)
+			}
+			// Outside a scheduler every engine's SAT answer is checked and
+			// carries its certificate.
+			if out.Verdict == VerdictSat && out.Cert == nil {
+				t.Fatalf("%s: SAT without a checked certificate", eng)
 			}
 		}
 	}
 }
 
 func TestRunUnknownEngine(t *testing.T) {
-	if _, err := Run(paperExample1(), Engine("bogus"), nil); err == nil {
+	if _, err := RunTracedProblem(problem.FromDQBF(paperExample1()), Engine("bogus"), nil, nil); err == nil {
 		t.Fatal("want error for unknown engine")
 	}
 	if _, err := ParseEngine("bogus"); err == nil {
@@ -121,7 +142,7 @@ func TestCancelMidSolve(t *testing.T) {
 				b.Cancel()
 			}()
 			start := time.Now()
-			out, err := Run(pigeonholeDQBF(11), eng, b)
+			out, err := RunTracedProblem(problem.FromDQBF(pigeonholeDQBF(11)), eng, b, nil)
 			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -144,11 +165,11 @@ func TestCancelMidSolve(t *testing.T) {
 // change.
 func TestPortfolioDeterministicAnswer(t *testing.T) {
 	for i := 0; i < 8; i++ {
-		out, err := Run(paperExample1(), EnginePortfolio, budget.WithTimeout(30*time.Second))
+		out, err := RunTracedProblem(problem.FromDQBF(paperExample1()), EnginePortfolio, budget.WithTimeout(30*time.Second), nil)
 		if err != nil || out.Verdict != VerdictSat {
 			t.Fatalf("round %d: got %v (err %v), want SAT", i, out.Verdict, err)
 		}
-		out, err = Run(unsatExample(), EnginePortfolio, budget.WithTimeout(30*time.Second))
+		out, err = RunTracedProblem(problem.FromDQBF(unsatExample()), EnginePortfolio, budget.WithTimeout(30*time.Second), nil)
 		if err != nil || out.Verdict != VerdictUnsat {
 			t.Fatalf("round %d: got %v (err %v), want UNSAT", i, out.Verdict, err)
 		}
@@ -156,7 +177,7 @@ func TestPortfolioDeterministicAnswer(t *testing.T) {
 }
 
 func TestPortfolioTimeout(t *testing.T) {
-	out, err := Run(pigeonholeDQBF(11), EnginePortfolio, budget.WithTimeout(100*time.Millisecond))
+	out, err := RunTracedProblem(problem.FromDQBF(pigeonholeDQBF(11)), EnginePortfolio, budget.WithTimeout(100*time.Millisecond), nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -172,7 +193,7 @@ func TestPortfolioAgreesWithSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 25; i++ {
 		f := dqbf.RandomFormula(rng, 1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(10))
-		port, err := Run(f, EnginePortfolio, budget.WithTimeout(30*time.Second))
+		port, err := RunTracedProblem(problem.FromDQBF(f), EnginePortfolio, budget.WithTimeout(30*time.Second), nil)
 		if err != nil {
 			t.Fatalf("instance %d: portfolio: %v", i, err)
 		}
@@ -180,7 +201,7 @@ func TestPortfolioAgreesWithSerial(t *testing.T) {
 			t.Fatalf("instance %d: portfolio verdict %v (%s)", i, port.Verdict, port.Reason)
 		}
 		for _, eng := range []Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand} {
-			out, err := Run(f, eng, budget.WithTimeout(30*time.Second))
+			out, err := RunTracedProblem(problem.FromDQBF(f), eng, budget.WithTimeout(30*time.Second), nil)
 			if err != nil {
 				t.Fatalf("instance %d %s: %v", i, eng, err)
 			}
@@ -203,7 +224,7 @@ func TestEngineStatsMetering(t *testing.T) {
 	defer ResetEngineStats()
 
 	for _, eng := range []Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand} {
-		if _, err := Run(paperExample1(), eng, budget.WithTimeout(30*time.Second)); err != nil {
+		if _, err := RunTracedProblem(problem.FromDQBF(paperExample1()), eng, budget.WithTimeout(30*time.Second), nil); err != nil {
 			t.Fatal(err)
 		}
 		st := EngineStats()
@@ -213,7 +234,7 @@ func TestEngineStatsMetering(t *testing.T) {
 	}
 
 	ResetEngineStats()
-	if _, err := Run(unsatExample(), EnginePortfolio, budget.WithTimeout(30*time.Second)); err != nil {
+	if _, err := RunTracedProblem(problem.FromDQBF(unsatExample()), EnginePortfolio, budget.WithTimeout(30*time.Second), nil); err != nil {
 		t.Fatal(err)
 	}
 	st := EngineStats()
@@ -294,7 +315,7 @@ func TestSchedulerSolvesAndCaches(t *testing.T) {
 	s := NewScheduler(Config{Workers: 2})
 	defer s.Drain(context.Background())
 
-	j1, err := s.Submit(paperExample1(), EnginePortfolio, Limits{Timeout: 30 * time.Second})
+	j1, err := s.Submit(problem.FromDQBF(paperExample1()), EnginePortfolio, Limits{Timeout: 30 * time.Second}, "")
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -310,7 +331,7 @@ func TestSchedulerSolvesAndCaches(t *testing.T) {
 	// Same instance with permuted clauses must hit the cache.
 	perm := paperExample1()
 	perm.Matrix.Clauses[0], perm.Matrix.Clauses[3] = perm.Matrix.Clauses[3], perm.Matrix.Clauses[0]
-	j2, err := s.Submit(perm, EngineHQS, Limits{})
+	j2, err := s.Submit(problem.FromDQBF(perm), EngineHQS, Limits{}, "")
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -341,7 +362,7 @@ func TestSchedulerConcurrentSubmit(t *testing.T) {
 				f = unsatExample()
 				want = VerdictUnsat
 			}
-			j, err := s.Submit(f, EnginePortfolio, Limits{Timeout: 30 * time.Second})
+			j, err := s.Submit(problem.FromDQBF(f), EnginePortfolio, Limits{Timeout: 30 * time.Second}, "")
 			if err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
@@ -368,7 +389,7 @@ func TestSchedulerCancelRunningJob(t *testing.T) {
 	s := NewScheduler(Config{Workers: 1, CacheSize: -1})
 	defer s.Drain(context.Background())
 
-	j, err := s.Submit(pigeonholeDQBF(11), EngineHQS, Limits{})
+	j, err := s.Submit(problem.FromDQBF(pigeonholeDQBF(11)), EngineHQS, Limits{}, "")
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -389,7 +410,7 @@ func TestSchedulerCancelRunningJob(t *testing.T) {
 		t.Fatalf("cancelled job: %+v", out)
 	}
 	// The worker must remain usable: a fresh easy job still solves.
-	j2, err := s.Submit(paperExample1(), EngineHQS, Limits{Timeout: 30 * time.Second})
+	j2, err := s.Submit(problem.FromDQBF(paperExample1()), EngineHQS, Limits{Timeout: 30 * time.Second}, "")
 	if err != nil {
 		t.Fatalf("Submit after cancel: %v", err)
 	}
@@ -405,7 +426,7 @@ func TestSchedulerQueueFullAndLimits(t *testing.T) {
 	// One worker stuck on a hard job, a queue of one: the third submit must
 	// be rejected with ErrQueueFull.
 	s := NewScheduler(Config{Workers: 1, QueueCap: 1, CacheSize: -1})
-	blocker, err := s.Submit(pigeonholeDQBF(11), EngineHQS, Limits{})
+	blocker, err := s.Submit(problem.FromDQBF(pigeonholeDQBF(11)), EngineHQS, Limits{}, "")
 	if err != nil {
 		t.Fatalf("Submit blocker: %v", err)
 	}
@@ -416,24 +437,24 @@ func TestSchedulerQueueFullAndLimits(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Submit(paperExample1(), EngineHQS, Limits{}); err != nil {
+	if _, err := s.Submit(problem.FromDQBF(paperExample1()), EngineHQS, Limits{}, ""); err != nil {
 		t.Fatalf("queued submit: %v", err)
 	}
-	if _, err := s.Submit(paperExample1(), EngineHQS, Limits{}); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit(problem.FromDQBF(paperExample1()), EngineHQS, Limits{}, ""); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
-	if _, err := s.Submit(paperExample1(), Engine("bogus"), Limits{}); err == nil {
+	if _, err := s.Submit(problem.FromDQBF(paperExample1()), Engine("bogus"), Limits{}, ""); err == nil {
 		t.Fatal("want engine validation error")
 	}
 	bad := dqbf.New()
 	bad.Matrix.AddDimacsClause(1) // free variable: must be rejected
-	if _, err := s.Submit(bad, EngineHQS, Limits{}); err == nil {
+	if _, err := s.Submit(problem.FromDQBF(bad), EngineHQS, Limits{}, ""); err == nil {
 		t.Fatal("want validation error for free variable")
 	}
 
 	// MaxTimeout clamp: with a 50ms cap the blocker-class job times out.
 	s2 := NewScheduler(Config{Workers: 1, CacheSize: -1, MaxTimeout: 50 * time.Millisecond})
-	j, err := s2.Submit(pigeonholeDQBF(11), EngineHQS, Limits{Timeout: time.Hour})
+	j, err := s2.Submit(problem.FromDQBF(pigeonholeDQBF(11)), EngineHQS, Limits{Timeout: time.Hour}, "")
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -453,7 +474,7 @@ func TestSchedulerQueueFullAndLimits(t *testing.T) {
 	if out := blocker.Outcome(); out.Verdict != VerdictUnknown {
 		t.Fatalf("blocker after hard drain: %+v", out)
 	}
-	if _, err := s.Submit(paperExample1(), EngineHQS, Limits{}); !errors.Is(err, ErrDraining) {
+	if _, err := s.Submit(problem.FromDQBF(paperExample1()), EngineHQS, Limits{}, ""); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain = %v, want ErrDraining", err)
 	}
 	if !s.Draining() {
@@ -465,7 +486,7 @@ func TestSchedulerDrainWaitsForQueued(t *testing.T) {
 	s := NewScheduler(Config{Workers: 2, CacheSize: -1})
 	jobs := make([]*Job, 0, 8)
 	for i := 0; i < 8; i++ {
-		j, err := s.Submit(paperExample1(), EngineIDQ, Limits{Timeout: 30 * time.Second})
+		j, err := s.Submit(problem.FromDQBF(paperExample1()), EngineIDQ, Limits{Timeout: 30 * time.Second}, "")
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
@@ -491,7 +512,7 @@ func TestJobHistoryEviction(t *testing.T) {
 	defer s.Drain(context.Background())
 	var ids []string
 	for i := 0; i < 4; i++ {
-		j, err := s.Submit(unsatExample(), EngineIDQ, Limits{Timeout: 30 * time.Second})
+		j, err := s.Submit(problem.FromDQBF(unsatExample()), EngineIDQ, Limits{Timeout: 30 * time.Second}, "")
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}

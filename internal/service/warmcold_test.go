@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/problem"
 	"repro/internal/store"
 )
 
@@ -27,20 +28,17 @@ func TestExperimentWarmColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	SetCertifyHQS(true)
-	defer SetCertifyHQS(false)
-
 	pass := func(label string) (time.Duration, Stats) {
 		st, _, err := store.Open(dir, store.Options{Logf: func(string, ...any) {}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		s := NewScheduler(Config{Workers: 1, Store: st})
+		s := NewScheduler(Config{Workers: 1, Store: st, Certify: true})
 		defer drainNow(t, s)
 		begin := time.Now()
 		for _, inst := range insts {
-			j, err := s.Submit(inst.Formula, EngineHQS, Limits{Timeout: 30 * time.Second})
+			j, err := s.Submit(problem.FromDQBF(inst.Formula), EngineHQS, Limits{Timeout: 30 * time.Second}, "")
 			if err != nil {
 				t.Fatalf("%s %s: %v", label, inst.Name, err)
 			}
