@@ -34,13 +34,16 @@ fuzz-smoke:
 # compose/cofactor identities the certificate extractor relies on, and the
 # two decoders of untrusted certificate bytes — the certificate wire codec
 # and the store entry format (no panics; accepted input re-encodes to a
-# fixpoint).
+# fixpoint) — and the text problem decoders behind ParseBytes (QDIMACS,
+# BENCH and PQE hints plus autodetection; no panics; an accepted input
+# parses again to the same canonical hash).
 fuzz-native:
 	$(GO) test ./internal/dqbf -run '^$$' -fuzz FuzzDQDIMACSReader -fuzztime 10s
 	$(GO) test ./internal/problem -run '^$$' -fuzz FuzzAIGERReader -fuzztime 10s
 	$(GO) test ./internal/aig -run '^$$' -fuzz FuzzAIGCompose -fuzztime 10s
 	$(GO) test ./internal/cert -run '^$$' -fuzz FuzzCertDecode -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzEntryUnmarshal -fuzztime 10s
+	$(GO) test ./internal/problem -run '^$$' -fuzz FuzzParseBytes -fuzztime 10s
 
 # Chaos drill under the race detector: fault-injected panics, errors, and
 # spurious Unknowns against the scheduler with concurrent submits, cancels,
@@ -56,11 +59,12 @@ chaos:
 chaos-store:
 	$(GO) test -race -run 'TestStore|TestEntry|TestSchedulerStore' -v ./internal/store ./internal/service
 
-# The PR gate: vet, the full test suite, the same two for the benchmark
-# module (hqsbench is its own Go module, so ./... never reaches it), the race
-# pass, the certified fuzz smoke, the native fuzz harnesses, and both chaos
-# drills.
+# The PR gate: gofmt over every tracked Go file, vet, the full test suite,
+# the same two for the benchmark module (hqsbench is its own Go module, so
+# ./... never reaches it), the race pass, the certified fuzz smoke, the
+# native fuzz harnesses, and both chaos drills.
 check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test ./...
 	cd hqsbench && $(GO) vet ./... && $(GO) test ./...
@@ -89,9 +93,11 @@ cluster-smoke:
 bench-sat:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/sat
 
-# Sweep wall-clock, serial vs worker pool.
+# Sweep wall-clock, serial vs worker pool, and the per-query cost of the
+# persistent sweep oracle (cone-scoped vs unscoped equivalence queries).
 bench-sweep:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep' -benchmem ./internal/aig
+	$(GO) test -run '^$$' -bench 'BenchmarkProveEquiv' -benchmem ./internal/oracle
 
 # End-to-end paper evaluation benchmarks (Table I, Fig. 4, ablations).
 bench:

@@ -15,6 +15,11 @@ type CNFBuilder struct {
 	g       *Graph
 	s       *sat.Solver
 	nodeVar map[int32]cnf.Var // AIG node -> SAT variable
+
+	// Cone walk state: node n is visited iff mark[n] == epoch.
+	mark  []uint32
+	epoch uint32
+	stack []int32
 }
 
 // NewCNFBuilder returns a builder encoding cones of g into s.
@@ -54,8 +59,9 @@ func (b *CNFBuilder) Lit(r Ref) cnf.Lit {
 	if _, done := b.nodeVar[r.node()]; done || r.node() == 0 {
 		return b.edgeLit(r)
 	}
+	b.nextEpoch()
 	todo := []int32{r.node()}
-	seen := map[int32]bool{r.node(): true}
+	b.mark[r.node()] = b.epoch
 	for i := 0; i < len(todo); i++ {
 		nd := &b.g.nodes[todo[i]]
 		if nd.v != 0 {
@@ -63,8 +69,8 @@ func (b *CNFBuilder) Lit(r Ref) cnf.Lit {
 		}
 		for _, f := range [2]Ref{nd.f0, nd.f1} {
 			c := f.node()
-			if _, done := b.nodeVar[c]; c != 0 && !done && !seen[c] {
-				seen[c] = true
+			if _, done := b.nodeVar[c]; c != 0 && !done && b.mark[c] != b.epoch {
+				b.mark[c] = b.epoch
 				todo = append(todo, c)
 			}
 		}
@@ -86,6 +92,55 @@ func (b *CNFBuilder) Lit(r Ref) cnf.Lit {
 		b.s.AddClause(gl, a.Not(), c.Not())
 	}
 	return b.edgeLit(r)
+}
+
+// ConeVars appends to vars the SAT variable of every encoded node in the
+// cones of roots, and to inputs the AIG input variables among those nodes,
+// and returns both slices. Lit encodes a whole cone before its root, so for
+// roots returned through Lit the walk yields the fanin-closed cone: the
+// scope internal/oracle poses its equivalence queries within. Visited nodes
+// carry an epoch stamp instead of living in a map, so a warm walk allocates
+// nothing.
+func (b *CNFBuilder) ConeVars(vars, inputs []cnf.Var, roots ...Ref) ([]cnf.Var, []cnf.Var) {
+	b.nextEpoch()
+	stack := b.stack[:0]
+	for _, r := range roots {
+		stack = append(stack, r.node())
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if b.mark[n] == b.epoch {
+			continue
+		}
+		b.mark[n] = b.epoch
+		sv, ok := b.nodeVar[n]
+		if !ok {
+			continue
+		}
+		vars = append(vars, sv)
+		nd := &b.g.nodes[n]
+		if nd.v != 0 {
+			inputs = append(inputs, nd.v)
+		} else if n != 0 {
+			stack = append(stack, nd.f0.node(), nd.f1.node())
+		}
+	}
+	b.stack = stack
+	return vars, inputs
+}
+
+// nextEpoch starts a cone walk: it sizes mark to the graph and moves to a
+// fresh epoch, so that no node counts as visited.
+func (b *CNFBuilder) nextEpoch() {
+	if n := len(b.g.nodes); len(b.mark) < n {
+		b.mark = append(b.mark, make([]uint32, n-len(b.mark))...)
+	}
+	b.epoch++
+	if b.epoch == 0 {
+		clear(b.mark)
+		b.epoch = 1
+	}
 }
 
 func (b *CNFBuilder) edgeLit(e Ref) cnf.Lit {

@@ -106,13 +106,14 @@ func ParseBench(r io.Reader) (*Circuit, error) {
 	}
 
 	c := New()
-	for _, name := range inputs {
-		c.AddInput(name)
-	}
 	// Any referenced-but-undriven signal becomes a FREE gate.
 	driven := make(map[string]bool)
 	for _, name := range inputs {
+		if driven[name] {
+			return nil, fmt.Errorf("bench: input %q declared twice", name)
+		}
 		driven[name] = true
+		c.AddInput(name)
 	}
 	byName := make(map[string]rawGate)
 	for _, rg := range raws {

@@ -387,6 +387,7 @@ func TestParseBenchErrors(t *testing.T) {
 		"INPUT(a)\nf = AND(a)\nf = OR(a)\n",
 		"INPUT(a)\nOUTPUT(zz)\nf = AND(a)\n",
 		"a = BUF(b)\nb = BUF(a)\nOUTPUT(a)\n",
+		"INPUT(0)\nINPUT(0)",
 	}
 	for _, src := range cases {
 		if _, err := ParseBenchString(src); err == nil {

@@ -10,11 +10,15 @@ package cnf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Var is a propositional variable. Valid variables are >= 1.
 type Var int32
+
+// VarLimit is the largest variable a Lit can encode: 2v+1 must fit in 32
+// bits. Readers of untrusted input reject larger variable counts.
+const VarLimit = 1<<30 - 1
 
 // Lit is a literal: a variable or its negation, in packed encoding.
 // For a variable v, the positive literal is 2v and the negative literal 2v+1.
@@ -112,7 +116,7 @@ func (c Clause) Normalize() (Clause, bool) {
 	if len(c) == 0 {
 		return c, false
 	}
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	slices.Sort(c)
 	out := c[:1]
 	for _, l := range c[1:] {
 		last := out[len(out)-1]

@@ -22,6 +22,17 @@
 // whole scope with the top-level unit ¬act — a constant-time retraction
 // that permanently satisfies every guarded clause without touching the
 // solver.
+//
+// Equivalence queries (ProveEquiv) are cone-scoped: the solver decides and,
+// above decision level 0, propagates only inside the fanin cone of the two
+// nodes (sat.Solver.SolveWithin), as in Mishchenko et al., "Improvements to
+// Combinational Equivalence Checking" (ICCAD 2006). The contract that makes
+// a scoped Sat answer sound is that the clause database holds only Tseitin
+// definitions of AIG nodes and clauses they imply: then any conflict-free
+// assignment of a fanin-closed cone extends to a full model by evaluating
+// the circuit from the cone's inputs. An oracle that has ever held a
+// non-Tseitin clause (OpenScope, AddScoped) no longer meets the contract
+// and answers every query unscoped.
 package oracle
 
 import (
@@ -51,6 +62,7 @@ const keepLearnts = 2000
 // Stats counts reuse across one or more persistent oracles.
 type Stats struct {
 	Queries     int64 // SAT queries answered
+	Scoped      int64 // queries solved within a fanin-cone scope
 	Incremental int64 // queries answered on an already-loaded solver
 	Rebuilds    int64 // fresh solver instantiations (one per oracle lifetime)
 	Scopes      int64 // activation-literal scopes opened and retracted
@@ -63,6 +75,7 @@ type Stats struct {
 // Add accumulates o into s (sums for flows, maxima for high-water marks).
 func (s *Stats) Add(o Stats) {
 	s.Queries += o.Queries
+	s.Scoped += o.Scoped
 	s.Incremental += o.Incremental
 	s.Rebuilds += o.Rebuilds
 	s.Scopes += o.Scopes
@@ -83,6 +96,7 @@ func (s Stats) Counters() map[string]int64 {
 	}
 	return map[string]int64{
 		"oracle_queries":     s.Queries,
+		"oracle_scoped":      s.Scoped,
 		"oracle_incremental": s.Incremental,
 		"oracle_rebuilds":    s.Rebuilds,
 		"oracle_learnts":     s.LearntsRetained,
@@ -108,10 +122,17 @@ func GlobalStats() (queries, incremental, rebuilds int64) {
 // is single-goroutine: each consumer (a sweep worker, the final check)
 // owns its oracle exclusively. Use a Pool to hand oracles to workers.
 type Oracle struct {
-	g     *aig.Graph
 	s     *sat.Solver
 	b     *aig.CNFBuilder
 	stats Stats
+
+	// unscoped is set once the solver holds a clause that is not a Tseitin
+	// definition (an activation scope was opened); from then on no query
+	// is cone-scoped.
+	unscoped bool
+	// Cone walk buffers: the SAT variables and the AIG inputs of the
+	// current query's cone.
+	coneVars, coneInputs []cnf.Var
 }
 
 // New returns a fresh oracle over g. This is the only place a solver is
@@ -119,7 +140,7 @@ type Oracle struct {
 func New(g *aig.Graph) *Oracle {
 	s := sat.New()
 	s.KeepLearnts = keepLearnts
-	o := &Oracle{g: g, s: s, b: aig.NewCNFBuilder(g, s)}
+	o := &Oracle{s: s, b: aig.NewCNFBuilder(g, s)}
 	o.stats.Rebuilds = 1
 	globalRebuilds.Add(1)
 	return o
@@ -138,9 +159,10 @@ func (o *Oracle) Solver() *sat.Solver { return o.s }
 // Lit Tseitin-encodes the cone of r (delta only) and returns its literal.
 func (o *Oracle) Lit(r aig.Ref) cnf.Lit { return o.b.Lit(r) }
 
-// query runs one assumption query against the persistent solver, metering
-// the reuse counters and firing the oracle.query fault point.
-func (o *Oracle) query(assumps []cnf.Lit, conflictBudget int64, bud *budget.Budget) (sat.Status, error) {
+// query runs one assumption query against the persistent solver, within
+// scope when it is non-nil, metering the reuse counters and firing the
+// oracle.query fault point.
+func (o *Oracle) query(assumps []cnf.Lit, scope []cnf.Var, conflictBudget int64, bud *budget.Budget) (sat.Status, error) {
 	if err := faults.Fire(QueryPoint); err != nil {
 		return sat.Unknown, err
 	}
@@ -155,7 +177,10 @@ func (o *Oracle) query(assumps []cnf.Lit, conflictBudget int64, bud *budget.Budg
 	}
 	o.s.ConflictBudget = conflictBudget
 	o.s.Budget = bud
-	st, err := o.s.SolveErr(assumps)
+	if scope != nil {
+		o.stats.Scoped++
+	}
+	st, err := o.s.SolveWithin(assumps, scope)
 	if ab := int64(o.s.ArenaBytes()); ab > o.stats.ArenaBytesHW {
 		o.stats.ArenaBytesHW = ab
 	}
@@ -167,7 +192,7 @@ func (o *Oracle) query(assumps []cnf.Lit, conflictBudget int64, bud *budget.Budg
 // scope retractions: a retracted scope's activation literal shows up
 // negated in the set when it is the reason).
 func (o *Oracle) QueryAssuming(assumps []cnf.Lit, bud *budget.Budget) (sat.Status, error) {
-	return o.query(assumps, 0, bud)
+	return o.query(assumps, nil, 0, bud)
 }
 
 // FailedAssumptions returns, after an Unsat query, a subset of the negated
@@ -190,7 +215,7 @@ func (o *Oracle) IsSatisfiable(r aig.Ref, bud *budget.Budget) (bool, map[cnf.Var
 		return false, nil, nil
 	}
 	l := o.b.Lit(r)
-	st, err := o.query([]cnf.Lit{l}, 0, bud)
+	st, err := o.query([]cnf.Lit{l}, nil, 0, bud)
 	if st == sat.Unknown {
 		if err == nil {
 			err = sat.ErrBudget
@@ -200,36 +225,49 @@ func (o *Oracle) IsSatisfiable(r aig.Ref, bud *budget.Budget) (bool, map[cnf.Var
 	if st != sat.Sat {
 		return false, nil, nil
 	}
-	return true, o.inputValues(r), nil
+	o.walkCone(r)
+	return true, o.inputValues(), nil
 }
 
 // ProveEquiv implements aig.SweepOracle: it reports whether the functions
 // rooted at lhs and rhs are equivalent, by refuting both directions of
-// lhs≠rhs with assumption queries. Budget exhaustion and injected faults
-// yield false (unproven), which sweeping treats soundly by not merging. A
+// lhs≠rhs with assumption queries scoped to the fanin cone of lhs and rhs
+// (see the package comment). Budget exhaustion and injected faults yield
+// false (unproven), which sweeping treats soundly by not merging. A
 // satisfiable query yields false together with the model's values of the
-// support variables of lhs and rhs, an input under which the two differ.
+// cone's inputs, an input under which the two differ.
 func (o *Oracle) ProveEquiv(lhs, rhs aig.Ref, conflictBudget int64, bud *budget.Budget) (bool, int, map[cnf.Var]bool) {
 	ll := o.b.Lit(lhs)
 	rl := o.b.Lit(rhs)
+	o.walkCone(lhs, rhs)
+	scope := o.coneVars
+	if o.unscoped {
+		scope = nil
+	}
 	for calls, assumps := range [2][]cnf.Lit{{ll, rl.Not()}, {ll.Not(), rl}} {
-		st, err := o.query(assumps, conflictBudget, bud)
+		st, err := o.query(assumps, scope, conflictBudget, bud)
 		if err != nil || st == sat.Unknown {
 			return false, calls + 1, nil
 		}
 		if st == sat.Sat {
-			return false, calls + 1, o.inputValues(lhs, rhs)
+			return false, calls + 1, o.inputValues()
 		}
 	}
 	return true, 2, nil
 }
 
-// inputValues reads the last model's values of the support variables of
-// the given roots.
-func (o *Oracle) inputValues(roots ...aig.Ref) map[cnf.Var]bool {
+// walkCone loads the SAT variables and AIG inputs of the already-encoded
+// cones of roots into the oracle's cone buffers.
+func (o *Oracle) walkCone(roots ...aig.Ref) {
+	o.coneVars, o.coneInputs = o.b.ConeVars(o.coneVars[:0], o.coneInputs[:0], roots...)
+}
+
+// inputValues reads the last model's values of the inputs of the cone
+// loaded by walkCone.
+func (o *Oracle) inputValues() map[cnf.Var]bool {
 	m := o.s.Model()
-	out := o.g.Support(roots...)
-	for v := range out {
+	out := make(map[cnf.Var]bool, len(o.coneInputs))
+	for _, v := range o.coneInputs {
 		out[v] = m.Get(o.b.InputSATVar(v))
 	}
 	return out
@@ -247,12 +285,14 @@ func (o *Oracle) OpenScope() cnf.Lit {
 	act := cnf.PosLit(o.s.NewVar())
 	o.s.SetPhase(act.Var(), false)
 	o.stats.Scopes++
+	o.unscoped = true
 	return act
 }
 
 // AddScoped adds a clause active only while the scope literal act is
 // assumed: the stored clause is (lits ∨ ¬act).
 func (o *Oracle) AddScoped(act cnf.Lit, lits ...cnf.Lit) bool {
+	o.unscoped = true
 	guarded := make([]cnf.Lit, 0, len(lits)+1)
 	guarded = append(guarded, lits...)
 	guarded = append(guarded, act.Not())

@@ -281,3 +281,103 @@ func TestStatsAdd(t *testing.T) {
 		t.Fatalf("high-water marks wrong: %+v", a)
 	}
 }
+
+// randomGraph returns a random AIG over inputs 1..inputs and the refs of
+// its inputs and AND nodes.
+func randomGraph(rnd *rand.Rand, inputs, ands int) (*aig.Graph, []aig.Ref) {
+	g := aig.New()
+	var refs []aig.Ref
+	for v := 1; v <= inputs; v++ {
+		refs = append(refs, g.Input(cnf.Var(v)))
+	}
+	for len(refs) < inputs+ands {
+		a := refs[rnd.Intn(len(refs))].XorSign(rnd.Intn(2) == 0)
+		b := refs[rnd.Intn(len(refs))].XorSign(rnd.Intn(2) == 0)
+		if r := g.And(a, b); !r.IsConst() {
+			refs = append(refs, r)
+		}
+	}
+	return g, refs
+}
+
+// equivalentByTable decides lhs ≡ rhs over every assignment of the inputs.
+func equivalentByTable(g *aig.Graph, inputs int, lhs, rhs aig.Ref) bool {
+	for bits := 0; bits < 1<<inputs; bits++ {
+		in := func(v cnf.Var) bool { return bits>>(v-1)&1 == 1 }
+		if g.Eval(lhs, in) != g.Eval(rhs, in) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestScopedProveEquivSound poses many pair queries on one persistent
+// oracle, whose queries are cone-scoped, and checks every verdict against
+// the truth table and against a twin oracle that answers unscoped (it has
+// opened an activation scope). Every refutation's counterexample must
+// separate the pair. Afterwards, unscoped queries on the same solver must
+// still agree with the truth table.
+func TestScopedProveEquivSound(t *testing.T) {
+	const inputs = 6
+	rnd := rand.New(rand.NewSource(11))
+	for round := 0; round < 8; round++ {
+		g, refs := randomGraph(rnd, inputs, 60)
+		o, twin := oracle.New(g), oracle.New(g)
+		twin.OpenScope()
+		pick := func() aig.Ref { return refs[rnd.Intn(len(refs))].XorSign(rnd.Intn(2) == 0) }
+		for q := 0; q < 120; q++ {
+			lhs, rhs := pick(), pick()
+			want := equivalentByTable(g, inputs, lhs, rhs)
+			proven, _, cex := o.ProveEquiv(lhs, rhs, 0, nil)
+			if twinProven, _, _ := twin.ProveEquiv(lhs, rhs, 0, nil); twinProven != want {
+				t.Fatalf("round %d: unscoped ProveEquiv = %v, truth table %v", round, twinProven, want)
+			}
+			if proven != want {
+				t.Fatalf("round %d query %d: scoped ProveEquiv = %v, truth table %v", round, q, proven, want)
+			}
+			if !proven {
+				in := func(v cnf.Var) bool { return cex[v] }
+				if g.Eval(lhs, in) == g.Eval(rhs, in) {
+					t.Fatalf("round %d query %d: cex %v does not separate the pair", round, q, cex)
+				}
+			}
+		}
+		if o.Stats().Scoped == 0 || twin.Stats().Scoped != 0 {
+			t.Fatalf("round %d: scoped query counts %d and %d; want > 0 and 0", round, o.Stats().Scoped, twin.Stats().Scoped)
+		}
+		if st, err := o.Solver().SolveErr(nil); st != sat.Sat || err != nil {
+			t.Fatalf("round %d: full solve after scoped queries = %v, %v", round, st, err)
+		}
+		for q := 0; q < 20; q++ {
+			lhs, rhs := pick(), pick()
+			satisfiable, _, err := o.IsSatisfiable(g.Xor(lhs, rhs), nil)
+			if err != nil || satisfiable == equivalentByTable(g, inputs, lhs, rhs) {
+				t.Fatalf("round %d: unscoped miter query = %v, %v after scoped queries", round, satisfiable, err)
+			}
+		}
+	}
+}
+
+// TestActivationScopeDisablesScopedQueries checks the fallback: an oracle
+// that has ever held activation-guarded clauses no longer meets the
+// Tseitin-only contract, so its equivalence queries run unscoped.
+func TestActivationScopeDisablesScopedQueries(t *testing.T) {
+	g := aig.New()
+	a, b := g.Input(1), g.Input(2)
+	ab := g.And(a, b)
+	redundant := g.And(ab, a)
+	o := oracle.New(g)
+	if proven, _, _ := o.ProveEquiv(ab, redundant, 0, nil); !proven {
+		t.Fatal("fresh oracle failed a provable equivalence")
+	}
+	if st := o.Stats(); st.Scoped != 2 {
+		t.Fatalf("fresh oracle: %d scoped queries; want 2", st.Scoped)
+	}
+	o.CloseScope(o.OpenScope())
+	if proven, _, _ := o.ProveEquiv(ab, redundant, 0, nil); !proven {
+		t.Fatal("oracle with a retired scope failed a provable equivalence")
+	}
+	if st := o.Stats(); st.Scoped != 2 || st.Queries != 4 {
+		t.Fatalf("after OpenScope: %d of %d queries scoped; want 2 of 4", st.Scoped, st.Queries)
+	}
+}

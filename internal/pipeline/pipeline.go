@@ -28,9 +28,9 @@ import (
 	"repro/internal/cert"
 	"repro/internal/cnf"
 	"repro/internal/dqbf"
-	"repro/internal/problem"
 	"repro/internal/faults"
 	"repro/internal/oracle"
+	"repro/internal/problem"
 )
 
 // Stop errors returned by Runner.Run and State.Stop when the budget ends a

@@ -2,6 +2,10 @@ package problem
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/aig"
@@ -54,6 +58,55 @@ func FuzzAIGERReader(f *testing.F) {
 		}
 		if p.CanonicalHash() == "" {
 			t.Fatal("empty canonical hash")
+		}
+	})
+}
+
+// parseHints are the format hints FuzzParseBytes drives ParseBytes with:
+// autodetection and every text reader.
+var parseHints = []Format{"", FormatDQDIMACS, FormatQDIMACS, FormatBENCH, FormatPQE}
+
+// FuzzParseBytes drives the text decoders (QDIMACS/DQDIMACS, BENCH and the
+// PQE dialect, each by hint and by autodetection) with arbitrary bytes. The
+// invariants: parsing never panics, and an accepted input parses again to
+// the same canonical hash — the key the result cache and the store share.
+// The seeds are the package's example inputs and the DQDIMACS reader's
+// committed corpus.
+func FuzzParseBytes(f *testing.F) {
+	for _, s := range []string{dqdimacsExample, qdimacsExample, benchExample, pqeExample} {
+		for h := range parseHints {
+			f.Add([]byte(s), uint8(h))
+		}
+	}
+	seeds, _ := filepath.Glob("../dqbf/testdata/fuzz/FuzzDQDIMACSReader/*") // constant pattern: no error
+	for _, path := range seeds {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// Corpus files hold one line: []byte("...").
+		line := strings.TrimSpace(strings.SplitN(string(raw), "\n", 2)[1])
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")"))
+		if err != nil {
+			f.Fatalf("%s: %v", path, err)
+		}
+		f.Add([]byte(data), uint8(0))
+	}
+	if data, err := os.ReadFile("../../examples/example1.dqdimacs"); err == nil {
+		f.Add(data, uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, h uint8) {
+		hint := parseHints[int(h)%len(parseHints)]
+		p, err := ParseBytes(data, hint)
+		if err != nil {
+			return // rejected cleanly
+		}
+		again, err := ParseBytes(data, hint)
+		if err != nil {
+			t.Fatalf("accepted input rejected on the second parse: %v", err)
+		}
+		if k1, k2 := p.CanonicalHash(), again.CanonicalHash(); k1 != k2 || k1 == "" {
+			t.Fatalf("hint %q: canonical hash %q then %q\ninput: %q", hint, k1, k2, data)
 		}
 	})
 }

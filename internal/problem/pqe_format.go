@@ -56,6 +56,9 @@ func parsePQE(data []byte) (*Problem, error) {
 				}
 				nums[i] = n
 			}
+			if nums[0] > cnf.VarLimit {
+				return nil, fmt.Errorf("pqe line %d: bad count %q", lineNo, fields[2])
+			}
 			q.NumVars, nf, ng = nums[0], nums[1], nums[2]
 		case "e":
 			if prefixDone {
@@ -78,12 +81,11 @@ func parsePQE(data []byte) (*Problem, error) {
 					cur = nil
 					continue
 				}
-				l := cnf.LitFromDimacs(d)
-				if int(l.Var()) > q.NumVars {
+				if d > q.NumVars || -d > q.NumVars {
 					return nil, fmt.Errorf("pqe line %d: literal %d out of range (declared %d variables)",
 						lineNo, d, q.NumVars)
 				}
-				cur = append(cur, l)
+				cur = append(cur, cnf.LitFromDimacs(d))
 			}
 		}
 	}

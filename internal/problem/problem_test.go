@@ -147,6 +147,26 @@ func TestParseBytesHint(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnencodableVariables checks that the DIMACS-shaped
+// readers reject variables a literal cannot encode instead of wrapping them
+// into other (or negative) variables: a literal past the declared count,
+// and a declared count past cnf.VarLimit.
+func TestParseRejectsUnencodableVariables(t *testing.T) {
+	for _, tc := range []struct {
+		input string
+		hint  Format
+	}{
+		{"p cnf 0 0\n10000000000\n", FormatDQDIMACS},
+		{"p cnf 3000000000 1\n2147483649 0\n", FormatQDIMACS},
+		{"p pqe 1 1 0\n10000000000 0\n", FormatPQE},
+		{"p pqe 3000000000 1 0\n2147483649 0\n", FormatPQE},
+	} {
+		if _, err := ParseBytes([]byte(tc.input), tc.hint); err == nil {
+			t.Errorf("%s input %q accepted", tc.hint, tc.input)
+		}
+	}
+}
+
 func TestFormatFromContentType(t *testing.T) {
 	cases := []struct {
 		ct   string

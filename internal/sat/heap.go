@@ -40,6 +40,13 @@ func (h *varHeap) update(v cnf.Var, act []float64) {
 	h.up(h.pos[v], act)
 }
 
+// heapify restores the heap property over all of data in linear time.
+func (h *varHeap) heapify(act []float64) {
+	for i := len(h.data)/2 - 1; i >= 0; i-- {
+		h.down(i, act)
+	}
+}
+
 func (h *varHeap) removeTop(act []float64) cnf.Var {
 	top := h.data[0]
 	last := len(h.data) - 1

@@ -93,6 +93,11 @@ type Solver struct {
 	claDec     float32
 	seen       []byte
 	toClear    []cnf.Var
+	learnt     []cnf.Lit  // analyze's output buffer, copied on attach
+	addBuf     cnf.Clause // AddClause's scratch copy of its literals
+	redStack   []redFrame // litRedundant's explicit stack
+	levelMark  []int64    // computeLBD: level l counted iff levelMark[l] == lbdCalls
+	lbdCalls   int64
 	numVars    int
 	numLearnts int
 	numProblem int
@@ -130,6 +135,14 @@ type Solver struct {
 	// rejected.
 	itp *itpState
 
+	// Variable scope of the running SolveWithin call: while scoped is set,
+	// v is in scope iff scopeMark[v] == scopeEpoch, and scopeHeap orders the
+	// unassigned scope variables for branching.
+	scoped     bool
+	scopeEpoch uint32
+	scopeMark  []uint32
+	scopeHeap  varHeap
+
 	// Statistics.
 	Stats Stats
 
@@ -166,6 +179,7 @@ func New() *Solver {
 	s.pinned = append(s.pinned, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, 0)
+	s.scopeMark = append(s.scopeMark, 0)
 	s.watches = append(s.watches, nil, nil)
 	return s
 }
@@ -213,6 +227,7 @@ func (s *Solver) NewVar() cnf.Var {
 	s.pinned = append(s.pinned, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, 0)
+	s.scopeMark = append(s.scopeMark, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.heap.insert(v, s.activity)
 	return v
@@ -251,8 +266,8 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above decision level 0")
 	}
-	c := make(cnf.Clause, len(lits))
-	copy(c, lits)
+	c := append(s.addBuf[:0], lits...) // attachClause copies the kept literals
+	s.addBuf = c
 	cl, taut := c.Normalize()
 	if taut {
 		return true
@@ -390,6 +405,12 @@ func (s *Solver) propagate() cref {
 				s.qhead = len(s.trail)
 				return w.cref
 			}
+			if s.scoped && len(s.trailLim) > 0 && s.scopeMark[first.Var()] != s.scopeEpoch {
+				// Outside the query's scope above level 0: the clause stays
+				// watched but unpropagated until backtracking unassigns its
+				// false watch (see SolveWithin).
+				continue
+			}
 			s.uncheckedEnqueue(first, w.cref)
 		}
 		// Keep watchers appended during the scan.
@@ -411,6 +432,9 @@ func (s *Solver) cancelUntil(lvl int) {
 		if !s.heap.contains(v) {
 			s.heap.insert(v, s.activity)
 		}
+		if s.scoped && s.scopeMark[v] == s.scopeEpoch {
+			s.scopeHeap.insert(v, s.activity)
+		}
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
@@ -426,6 +450,9 @@ func (s *Solver) bumpVar(v cnf.Var) {
 		s.varInc *= 1e-100
 	}
 	s.heap.update(v, s.activity)
+	if s.scoped {
+		s.scopeHeap.update(v, s.activity)
+	}
 }
 
 func (s *Solver) bumpClause(c cref) {
@@ -444,7 +471,7 @@ func (s *Solver) bumpClause(c cref) {
 // analyze performs first-UIP conflict analysis. It returns the learned clause
 // (with the asserting literal first) and the backtrack level.
 func (s *Solver) analyze(confl cref) ([]cnf.Lit, int) {
-	learnt := []cnf.Lit{0} // slot 0 for the asserting literal
+	learnt := append(s.learnt[:0], 0) // slot 0 for the asserting literal
 	counter := 0
 	var p cnf.Lit
 	idx := len(s.trail) - 1
@@ -545,7 +572,14 @@ func (s *Solver) analyze(confl cref) ([]cnf.Lit, int) {
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 		btLevel = s.level[learnt[1].Var()]
 	}
+	s.learnt = learnt
 	return learnt, btLevel
+}
+
+// redFrame is one reason clause being expanded by litRedundant.
+type redFrame struct {
+	cref cref
+	i    int
 }
 
 // litRedundant reports whether l is implied by the other marked literals,
@@ -553,13 +587,8 @@ func (s *Solver) analyze(confl cref) ([]cnf.Lit, int) {
 // during a successful check stay marked (they are redundant too) and are
 // recorded in s.toClear for the caller to reset.
 func (s *Solver) litRedundant(l cnf.Lit) bool {
-	type frame struct {
-		cref cref
-		i    int
-	}
-	var stack []frame
 	newlyMarked := len(s.toClear)
-	stack = append(stack, frame{s.reason[l.Var()], 1})
+	stack := append(s.redStack[:0], redFrame{s.reason[l.Var()], 1})
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		lits := s.ca.lits(f.cref)
@@ -578,26 +607,45 @@ func (s *Solver) litRedundant(l cnf.Lit) bool {
 				s.seen[u] = 0
 			}
 			s.toClear = s.toClear[:newlyMarked]
+			s.redStack = stack
 			return false
 		}
 		s.seen[v] = 1
 		s.toClear = append(s.toClear, v)
-		stack = append(stack, frame{s.reason[v], 1})
+		stack = append(stack, redFrame{s.reason[v], 1})
 	}
+	s.redStack = stack
 	return true
 }
 
+// computeLBD counts the distinct decision levels among lits, stamping each
+// level with the call count.
 func (s *Solver) computeLBD(lits []cnf.Lit) int {
-	levels := map[int]struct{}{}
+	s.lbdCalls++
+	stamp := s.lbdCalls
+	n := 0
 	for _, l := range lits {
-		levels[s.level[l.Var()]] = struct{}{}
+		lv := s.level[l.Var()]
+		if lv >= len(s.levelMark) {
+			s.levelMark = append(s.levelMark, make([]int64, lv+1-len(s.levelMark))...)
+		}
+		if s.levelMark[lv] != stamp {
+			s.levelMark[lv] = stamp
+			n++
+		}
 	}
-	return len(levels)
+	return n
 }
 
+// pickBranchLit returns the unassigned variable of highest activity, in its
+// saved phase, drawn from the query's scope while a scoped solve runs.
 func (s *Solver) pickBranchLit() (cnf.Lit, bool) {
-	for !s.heap.empty() {
-		v := s.heap.removeTop(s.activity)
+	h := &s.heap
+	if s.scoped {
+		h = &s.scopeHeap
+	}
+	for !h.empty() {
+		v := h.removeTop(s.activity)
 		if s.assign[v] == lUndef {
 			return cnf.NewLit(v, !s.polarity[v]), true
 		}
@@ -703,7 +751,7 @@ func (s *Solver) Solve() Status { return s.SolveAssuming(nil) }
 // a subset of the assumptions that is already unsatisfiable together with the
 // clause set.
 func (s *Solver) SolveAssuming(assumps []cnf.Lit) Status {
-	st, _ := s.solve(assumps)
+	st, _ := s.solve(assumps, nil)
 	return st
 }
 
@@ -712,10 +760,71 @@ func (s *Solver) SolveAssuming(assumps []cnf.Lit) Status {
 // shared budget's error (budget.ErrCancelled, budget.ErrDeadline, ...) when
 // the Budget field stopped the search.
 func (s *Solver) SolveErr(assumps []cnf.Lit) (Status, error) {
-	return s.solve(assumps)
+	return s.solve(assumps, nil)
 }
 
-func (s *Solver) solve(assumps []cnf.Lit) (Status, error) {
+// SolveWithin is SolveErr restricted to a variable scope: it branches only
+// on scope variables and, above decision level 0, propagates only into
+// them, answering Sat as soon as every scope variable is assigned without
+// conflict. Level-0 propagation stays complete, so units learnt during the
+// call are fully propagated before any later query relies on them. The
+// assumption variables are always in scope. On Sat, Model is exact on the
+// assigned variables, which include the scope; other variables read false.
+// A nil scope solves unscoped, exactly like SolveErr.
+//
+// Unsat is always sound: it is derived from the clauses alone. Sat is sound
+// only under a contract the caller guarantees: every conflict-free
+// assignment of the scope extends to a model of the whole clause set. A
+// database of Tseitin definitions of circuit nodes plus clauses they imply
+// meets it for any fanin-closed scope: evaluating the circuit from the
+// scope's inputs completes the assignment (internal/oracle). Any other
+// clause, say an activation-guarded scratch clause, can break the contract.
+func (s *Solver) SolveWithin(assumps []cnf.Lit, scope []cnf.Var) (Status, error) {
+	return s.solve(assumps, scope)
+}
+
+// beginScope marks scope and the assumption variables for the running
+// solve and loads the unassigned ones into the scope heap.
+func (s *Solver) beginScope(scope []cnf.Var, assumps []cnf.Lit) {
+	s.scopeEpoch++
+	if s.scopeEpoch == 0 {
+		clear(s.scopeMark)
+		s.scopeEpoch = 1
+	}
+	s.scoped = true
+	h := &s.scopeHeap
+	mark := func(v cnf.Var) {
+		s.EnsureVars(int(v))
+		if s.scopeMark[v] == s.scopeEpoch {
+			return
+		}
+		s.scopeMark[v] = s.scopeEpoch
+		if s.assign[v] == lUndef {
+			h.ensure(v)
+			h.pos[v] = len(h.data)
+			h.data = append(h.data, v)
+		}
+	}
+	for _, v := range scope {
+		mark(v)
+	}
+	for _, l := range assumps {
+		mark(l.Var())
+	}
+	h.heapify(s.activity)
+}
+
+// endScope empties the scope heap and returns to unscoped solving.
+func (s *Solver) endScope() {
+	for _, v := range s.scopeHeap.data {
+		s.scopeHeap.pos[v] = -1
+	}
+	s.scopeHeap.data = s.scopeHeap.data[:0]
+	s.scoped = false
+}
+
+// solve runs the CDCL loop, restricted to scope when it is non-nil.
+func (s *Solver) solve(assumps []cnf.Lit, scope []cnf.Var) (Status, error) {
 	s.Stats.SolveCalls++
 	// Fault-injection seam: every CDCL oracle call in the stack funnels
 	// through here, so an armed plan can panic, stall, or fail the oracle.
@@ -737,6 +846,10 @@ func (s *Solver) solve(assumps []cnf.Lit) (Status, error) {
 	s.assumptions = append(s.assumptions[:0], assumps...)
 	s.model = nil
 	s.conflictSet = nil
+	if scope != nil {
+		s.beginScope(scope, assumps)
+		defer s.endScope()
+	}
 	defer s.cancelUntil(0)
 
 	confBudget := s.ConflictBudget
@@ -862,10 +975,11 @@ func (s *Solver) search(conflictLimit int64, maxLearnts *float64) Status {
 		}
 		l, ok := s.pickBranchLit()
 		if !ok {
-			// All variables assigned: model found.
+			// All variables (of the scope, when scoped) assigned: model
+			// found. Every assigned variable is on the trail.
 			s.model = cnf.NewAssignment(s.numVars)
-			for v := 1; v <= s.numVars; v++ {
-				s.model.Set(cnf.Var(v), s.assign[v] == lTrue)
+			for _, l := range s.trail {
+				s.model.Set(l.Var(), !l.Neg())
 			}
 			return Sat
 		}
