@@ -12,10 +12,10 @@ vet:
 	$(GO) vet ./...
 
 # Race-check the packages with concurrent code paths (the parallel SAT
-# sweep, the SAT substrate it drives, the job scheduler/portfolio and the
-# defex/expand engines racing inside it, the fault-injection plumbing they
-# share, the daemon's HTTP handlers, the certificate checker the portfolio
-# arms consult concurrently, the ingestion/PQE layers the daemon calls
+# sweep, the SAT substrate it drives, the job scheduler's worker pool and
+# the engines its workers run side by side, the fault-injection plumbing
+# they share, the daemon's HTTP handlers, the certificate checker the
+# workers consult concurrently, the ingestion/PQE layers the daemon calls
 # from its handler goroutines, and the cluster coordinator fanning cube
 # subproblems across workers).
 race:
@@ -62,7 +62,8 @@ chaos-store:
 # The PR gate: gofmt over every tracked Go file, vet, the full test suite,
 # the same two for the benchmark module (hqsbench is its own Go module, so
 # ./... never reaches it), the race pass, the certified fuzz smoke, the
-# native fuzz harnesses, and both chaos drills.
+# native fuzz harnesses, both chaos drills, and the daemon and cluster
+# smoke tests against the real binaries.
 check:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
@@ -72,6 +73,7 @@ check:
 	$(MAKE) fuzz-smoke fuzz-native
 	$(GO) test -race -run 'TestChaos|TestDrainRace' ./internal/service
 	$(GO) test -race -run 'TestStore|TestEntry|TestSchedulerStore' ./internal/store ./internal/service
+	$(MAKE) serve-smoke
 	$(GO) test -tags smoke -run TestClusterSmoke ./cmd/hqsc
 	$(MAKE) bench-gate-quick
 

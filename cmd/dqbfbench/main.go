@@ -11,7 +11,6 @@
 //	dqbfbench -scatter fig4.csv        # also write the Fig. 4 scatter data
 //	dqbfbench -stats                   # print the in-text statistics
 //	dqbfbench -ablation                # design-choice ablations (HQS + defex)
-//	dqbfbench -portfolio               # four-arm portfolio race + engine win stats
 //	dqbfbench -export dir/             # write instances as .dqdimacs files
 //	dqbfbench -gate BENCH_pr1.json     # run + fail on regression vs baseline
 //	dqbfbench -compare a.json,b.json   # diff two committed baselines
@@ -26,9 +25,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/budget"
-	"repro/internal/problem"
-	"repro/internal/service"
 )
 
 func main() {
@@ -46,7 +42,6 @@ func main() {
 		baseline   = flag.String("baseline", "", "write a machine-readable campaign baseline (JSON) to this file")
 		stats      = flag.Bool("stats", false, "print the paper's in-text statistics")
 		ablation   = flag.Bool("ablation", false, "run the design-choice ablations (HQS and defex) instead of the HQS-vs-iDQ comparison")
-		portfolio  = flag.Bool("portfolio", false, "race the four-arm service portfolio over the instances and print per-engine win statistics")
 		scaling    = flag.Bool("scaling", false, "run a width-scaling study for the selected family (default adder)")
 		extensions = flag.Bool("extensions", false, "include the beyond-paper families (mult, mux, circuit)")
 		export     = flag.String("export", "", "write the generated instances as DQDIMACS files into this directory")
@@ -151,29 +146,6 @@ func main() {
 		fmt.Printf("\nDefinition-extraction ablation (timeout %v):\n\n", *timeout)
 		drows := bench.RunDefexAblation(instances, bench.DefexAblationVariants(), *timeout, *nodeLim)
 		fmt.Print(bench.FormatDefexAblation(drows, len(instances)))
-		return
-	}
-
-	if *portfolio {
-		fmt.Printf("\nPortfolio race (timeout %v per instance):\n\n", *timeout)
-		service.ResetEngineStats()
-		solved, unknown := 0, 0
-		start := time.Now()
-		for _, inst := range instances {
-			out, err := service.RunTracedProblem(problem.FromDQBF(inst.Formula), service.EnginePortfolio,
-				budget.New(budget.Limits{Timeout: *timeout, Nodes: *nodeLim}), nil)
-			if err != nil {
-				fatal(err)
-			}
-			if out.Verdict == service.VerdictSat || out.Verdict == service.VerdictUnsat {
-				solved++
-			} else {
-				unknown++
-			}
-		}
-		fmt.Printf("solved %d/%d (%d unknown) in %v\n\n", solved, len(instances), unknown, time.Since(start).Round(time.Millisecond))
-		fmt.Println("per-engine attempts and wins (wins credit the arm that answered):")
-		fmt.Print(service.FormatEngineStats(service.EngineStats()))
 		return
 	}
 

@@ -14,12 +14,13 @@
 //
 // With no file argument the problem is read from standard input. The
 // -engine flag can redirect the solve to the iDQ baseline, the
-// definition-extraction engine (defex), plain universal expansion, or a
-// portfolio racing all four; -timeout is enforced through a cancellable budget,
-// so it interrupts a running SAT oracle rather than waiting for the next
-// loop iteration. -trace prints one table row per executed pipeline pass to
-// stderr, and -trace-json streams the same events as JSON lines. -cert makes
-// a SAT verdict carry a Skolem certificate: the solver extracts per-variable
+// definition-extraction engine (defex), plain universal expansion, or the
+// portfolio (HQS, then iDQ only when HQS stops at an engine-local limit);
+// -timeout is enforced through a cancellable budget, so it interrupts a
+// running SAT oracle rather than waiting for the next loop iteration.
+// -trace prints one table row per executed pipeline pass to stderr, and
+// -trace-json streams the same events as JSON lines. -cert makes a SAT
+// verdict carry a Skolem certificate: the solver extracts per-variable
 // Skolem functions, the independent checker (internal/cert) validates them
 // against the input formula, and the certificate is printed as Skolem tables
 // on stdout; a rejected certificate is an error exit, never a bare SAT. The
@@ -243,8 +244,8 @@ func runPQE(p *problem.Problem, bud *budget.Budget) {
 // runService decides the problem through internal/service (engines other
 // than the native hqs core) and exits with the solver exit codes. Every SAT
 // answer arrives with a checked certificate, printed when printCert is set;
-// an answer whose certificate was rejected is an error exit. The HQS arm of
-// the selected engine emits pass events to sink; rec backs the -trace table.
+// an answer whose certificate was rejected is an error exit. Every engine
+// run emits its pass events to sink; rec backs the -trace table.
 func runService(p *problem.Problem, eng service.Engine, bud *budget.Budget, stats, printCert bool, sink trace.Sink, rec *trace.Recorder) {
 	start := time.Now()
 	out, err := service.RunTracedProblem(p, eng, bud, sink)

@@ -1,12 +1,13 @@
 // Command hqsd serves the DQBF solvers over HTTP: clients POST problem
 // instances in any supported format — DQDIMACS, QDIMACS, AIGER, or BENCH —
 // the daemon schedules them on a bounded worker pool (engine hqs, idq,
-// defex, expand, or a portfolio racing all four), and results are polled or
-// awaited as JSON. The input format is taken from the Content-Type header
-// when it names one (application/x-dqdimacs, -qdimacs, -aiger, -bench,
-// -pqe) and sniffed from the body otherwise, and the cache/store key is the
-// canonical hash of the normalized problem, so the same instance POSTed in
-// different formats shares one cache entry. SIGTERM/SIGINT triggers a
+// defex, expand, or the portfolio: HQS, then iDQ only when HQS stops at an
+// engine-local limit), and results are polled or awaited as JSON. The input
+// format is taken from the Content-Type header when it names one
+// (application/x-dqdimacs, -qdimacs, -aiger, -bench, -pqe) and sniffed from
+// the body otherwise, and the cache/store key is the canonical hash of the
+// normalized problem, so the same instance POSTed in different formats
+// shares one cache entry. SIGTERM/SIGINT triggers a
 // graceful drain: the health check flips to 503, queued and running jobs
 // finish (up to -drain-timeout, after which they are cancelled), then the
 // listener shuts down.
@@ -32,7 +33,7 @@
 //
 // Failure handling: engine panics and oracle errors are contained per job
 // (verdict ERROR, worker survives), transient failures are retried with
-// backoff and fall back along hqs → portfolio → idq; -retry-attempts,
+// backoff and fall back along hqs → idq; -retry-attempts,
 // -retry-base-delay, and -retry-max-delay tune the policy. The -faults flag
 // activates a fault-injection plan (see internal/faults) for chaos drills,
 // e.g. -faults 'sat.solve:panic:p=0.1;cache.lookup:error:every=3'.

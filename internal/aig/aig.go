@@ -6,9 +6,9 @@
 // A Graph is a structurally hashed DAG. References (Ref) follow the AIGER
 // literal convention: the constant false is Ref 0, true is Ref 1, and node i
 // contributes references 2i (plain) and 2i+1 (complemented). Structural
-// hashing with two-level simplification rules keeps the graph
-// non-redundant; pseudo-canonicity in the FRAIG sense is restored on demand
-// by SAT sweeping (see sweep.go).
+// hashing with the one-level simplification rules (constants, a∧a, a∧¬a)
+// keeps the graph free of duplicate gates; pseudo-canonicity in the FRAIG
+// sense is restored on demand by SAT sweeping (see sweep.go).
 //
 // The package provides the full operation set HQS requires: Boolean
 // connectives, composition (substitution of functions for input variables),
@@ -140,8 +140,9 @@ func (g *Graph) newNode(n node) Ref {
 	return Ref(int32(len(g.nodes)-1) << 1)
 }
 
-// And returns a reference for a∧b, applying two-level simplification rules
-// and structural hashing.
+// And returns a reference for a∧b, applying the one-level simplification
+// rules — constant inputs, a∧a = a and a∧¬a = false — and structural
+// hashing. It looks no deeper than its two inputs: no two-level rules.
 func (g *Graph) And(a, b Ref) Ref {
 	// Constant and trivial rules.
 	switch {

@@ -197,20 +197,3 @@ func (b *Budget) Err() error {
 
 // Stopped reports whether any constraint is exhausted. Nil-safe.
 func (b *Budget) Stopped() bool { return b.Err() != nil }
-
-// Child returns a fresh budget with the same deadline and caps but an
-// independent cancellation signal and usage counters. Portfolio racing gives
-// each engine a child so the loser can be cancelled without stopping the
-// winner; the caller folds the children's usage back with AddConflicts /
-// AddDecisions. A nil receiver yields an unlimited (but cancellable) child.
-func (b *Budget) Child() *Budget {
-	if b == nil {
-		return New(Limits{})
-	}
-	return New(Limits{
-		Deadline:  b.deadline,
-		Conflicts: b.maxConflicts,
-		Decisions: b.maxDecisions,
-		Nodes:     b.maxNodes,
-	})
-}

@@ -85,26 +85,6 @@ func TestErrPrecedence(t *testing.T) {
 	}
 }
 
-func TestChild(t *testing.T) {
-	b := New(Limits{Conflicts: 7, Nodes: 42, Deadline: time.Now().Add(time.Hour)})
-	c := b.Child()
-	if c.NodeCap() != 42 || c.Deadline() != b.Deadline() {
-		t.Fatal("child must inherit limits")
-	}
-	c.Cancel()
-	if b.Cancelled() {
-		t.Fatal("child cancellation must not propagate to parent")
-	}
-	c.AddConflicts(3)
-	if b.ConflictsUsed() != 0 {
-		t.Fatal("child usage must not propagate implicitly")
-	}
-	var nilB *Budget
-	if nilB.Child() == nil || nilB.Child().Stopped() {
-		t.Fatal("nil parent yields unlimited child")
-	}
-}
-
 func TestConcurrentUse(t *testing.T) {
 	b := New(Limits{Conflicts: 1 << 30})
 	doneCh := make(chan struct{})

@@ -50,16 +50,17 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 }
 
 // FallbackChain returns the engines tried for a job that requested eng, in
-// order: the requested engine first, then the portfolio (which still
-// includes the requested engine — a transiently failing engine may well win
-// its rematch), then the iDQ baseline alone; the baseline itself is last,
-// with nothing to fall back to.
+// order. The portfolio (and the empty name) is the schedule HQS then iDQ:
+// HQS decides every instance of the paper's evaluation, and iDQ runs only
+// when HQS stops at an engine-local limit. HQS requests get the same list;
+// defex and expand requests get the requested engine followed by it; the
+// iDQ baseline itself is last, with nothing to fall back to.
 func FallbackChain(eng Engine) []Engine {
 	switch eng {
-	case EngineHQS, EngineDefex, EngineExpand:
-		return []Engine{eng, EnginePortfolio, EngineIDQ}
-	case EnginePortfolio, "":
-		return []Engine{EnginePortfolio, EngineIDQ}
+	case EngineHQS, EnginePortfolio, "":
+		return []Engine{EngineHQS, EngineIDQ}
+	case EngineDefex, EngineExpand:
+		return []Engine{eng, EngineHQS, EngineIDQ}
 	default:
 		return []Engine{EngineIDQ}
 	}
@@ -118,8 +119,8 @@ func classify(out Outcome, b *budget.Budget) attemptDisposition {
 // setting, passed to every attempt; observe is invoked after every attempt
 // (the scheduler meters retries, fallbacks, and contained panics with it
 // without losing intermediate outcomes); sink receives the pass trace of
-// every HQS attempt, retries and fallback runs included (so a job's trace
-// shows the full attempt history, not just the final run).
+// every attempt, retries and fallback runs included (so a job's trace shows
+// the full attempt history, not just the final run).
 func solveRetry(p *problem.Problem, eng Engine, b *budget.Budget, pol RetryPolicy, certify bool, observe func(Outcome), sink trace.Sink) Outcome {
 	pol = pol.WithDefaults()
 	if _, err := ParseEngine(string(eng)); err != nil {

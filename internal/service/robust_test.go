@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/dqbf"
 	"repro/internal/problem"
+	"repro/internal/trace"
 )
 
 // TestPanicBecomesErrorVerdict: a SAT-oracle panic on every call must not
@@ -111,11 +113,11 @@ func TestFallbackChainShape(t *testing.T) {
 		eng  Engine
 		want []Engine
 	}{
-		{EngineHQS, []Engine{EngineHQS, EnginePortfolio, EngineIDQ}},
-		{EngineDefex, []Engine{EngineDefex, EnginePortfolio, EngineIDQ}},
-		{EngineExpand, []Engine{EngineExpand, EnginePortfolio, EngineIDQ}},
-		{EnginePortfolio, []Engine{EnginePortfolio, EngineIDQ}},
-		{"", []Engine{EnginePortfolio, EngineIDQ}},
+		{EngineHQS, []Engine{EngineHQS, EngineIDQ}},
+		{EngineDefex, []Engine{EngineDefex, EngineHQS, EngineIDQ}},
+		{EngineExpand, []Engine{EngineExpand, EngineHQS, EngineIDQ}},
+		{EnginePortfolio, []Engine{EngineHQS, EngineIDQ}},
+		{"", []Engine{EngineHQS, EngineIDQ}},
 		{EngineIDQ, []Engine{EngineIDQ}},
 	}
 	for _, c := range cases {
@@ -128,6 +130,83 @@ func TestFallbackChainShape(t *testing.T) {
 				t.Fatalf("FallbackChain(%q) = %v, want %v", c.eng, got, c.want)
 			}
 		}
+	}
+}
+
+// TestPortfolioFallsBackOnMemout: when HQS stops at its AIG node cap with
+// job budget to spare, the portfolio hands the instance to iDQ, which
+// answers with a checked certificate; defex and expand never run.
+func TestPortfolioFallsBackOnMemout(t *testing.T) {
+	ResetEngineStats()
+	defer ResetEngineStats()
+	out, err := RunTracedProblem(problem.FromDQBF(xorLinkedDQBF()), EnginePortfolio, budget.New(budget.Limits{Nodes: 1}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Verdict != VerdictSat || out.Engine != EngineIDQ || out.Cert == nil {
+		t.Fatalf("got %v via %q (%s, cert %v), want certified SAT via idq", out.Verdict, out.Engine, out.Reason, out.Cert != nil)
+	}
+	if out.Attempts != 2 || out.Fallbacks != 1 {
+		t.Fatalf("attempts/fallbacks = %d/%d, want 2/1", out.Attempts, out.Fallbacks)
+	}
+	want := map[Engine]EngineCounters{
+		EngineHQS:    {Attempts: 1},
+		EngineIDQ:    {Attempts: 1, Wins: 1},
+		EngineDefex:  {},
+		EngineExpand: {},
+	}
+	if st := EngineStats(); !reflect.DeepEqual(st, want) {
+		t.Fatalf("engine stats = %+v, want %+v", st, want)
+	}
+}
+
+// TestPortfolioNoFallbackOnDeadline: a job whose own deadline expires inside
+// HQS reports the timeout; iDQ never starts, because the job budget it
+// would run on is already spent.
+func TestPortfolioNoFallbackOnDeadline(t *testing.T) {
+	ResetEngineStats()
+	defer ResetEngineStats()
+	s := NewScheduler(Config{Workers: 1, CacheSize: -1})
+	defer drainNow(t, s)
+	job, err := s.Submit(problem.FromDQBF(pigeonholeDQBF(11)), EnginePortfolio, Limits{Timeout: 100 * time.Millisecond}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	out := job.Outcome()
+	if out.Verdict != VerdictUnknown || out.Reason != "timeout" || out.Engine != EngineHQS {
+		t.Fatalf("got %v/%s via %q, want UNKNOWN/timeout via hqs", out.Verdict, out.Reason, out.Engine)
+	}
+	if out.Attempts != 1 || out.Fallbacks != 0 {
+		t.Fatalf("attempts/fallbacks = %d/%d, want 1/0", out.Attempts, out.Fallbacks)
+	}
+	if st := EngineStats(); st[EngineIDQ].Attempts != 0 || st[EngineHQS].Attempts != 1 {
+		t.Fatalf("engine stats = %+v, want one hqs attempt and no idq attempt", st)
+	}
+}
+
+// TestPortfolioTraceSink: in portfolio mode the sink receives the pass
+// events of the HQS run that answers. The planted build latency gives any
+// concurrently started engine ample time to answer first, so only a serial
+// schedule reports HQS here.
+func TestPortfolioTraceSink(t *testing.T) {
+	withFaults(t, "pipeline.build:latency:latency=300ms", 1)
+	rec := trace.NewRecorder(0)
+	out, err := RunTracedProblem(problem.FromDQBF(xorLinkedDQBF()), EnginePortfolio, budget.WithTimeout(30*time.Second), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Verdict != VerdictSat || out.Engine != EngineHQS {
+		t.Fatalf("got %v via %q, want SAT via hqs", out.Verdict, out.Engine)
+	}
+	stages := map[string]bool{}
+	passes := map[string]bool{}
+	for _, ev := range rec.Events() {
+		stages[ev.Stage] = true
+		passes[ev.Pass] = true
+	}
+	if !stages["hqs"] || !stages["qbf"] || !passes["build"] || !passes["elimset"] {
+		t.Fatalf("trace stages %v passes %v, want the full HQS schedule", stages, passes)
 	}
 }
 

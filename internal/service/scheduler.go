@@ -285,9 +285,9 @@ type Stats struct {
 	OracleIncremental int64 `json:"oracle_incremental"`
 	OracleRebuilds    int64 `json:"oracle_rebuilds"`
 	// Engines breaks attempts and definitive verdicts down per engine
-	// (process-wide, like the oracle counters): in portfolio mode the winning
-	// arm is credited, so the table answers which engine actually produces
-	// the verdicts.
+	// (process-wide, like the oracle counters): every attempt, portfolio and
+	// fallback runs included, is credited to the engine that ran it, so the
+	// table answers which engine actually produces the verdicts.
 	Engines map[Engine]EngineCounters `json:"engines"`
 	// Store holds the persistent tier's own counters (hits, misses, corrupt,
 	// quarantined, io_errors, …); nil when the daemon runs without -store.

@@ -1,9 +1,9 @@
 // Package service turns the batch DQBF solvers into a long-running solver
 // service: it provides cancellable engine runners over a shared budget, a
-// portfolio mode that races HQS, the iDQ baseline, the definition-extraction
-// engine, and the expansion reference — cancelling the losers, with
-// per-engine win/attempt counters answering which arm actually produces
-// verdicts — a bounded worker-pool scheduler with a job queue and per-job
+// portfolio mode that is one serial schedule — HQS decides, and the iDQ
+// baseline runs only when HQS stops at an engine-local limit — with
+// per-engine attempt/win counters answering which engine actually produces
+// verdicts, a bounded worker-pool scheduler with a job queue and per-job
 // limits, and an LRU result cache keyed by a canonical hash of the parsed
 // formula.
 //
@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/budget"
@@ -51,13 +50,13 @@ const (
 	// EngineExpand is the eager full-expansion reference engine
 	// (internal/expand).
 	EngineExpand Engine = "expand"
-	// EnginePortfolio races the engines and cancels the losers. Because every
-	// engine is sound, the reported verdict is deterministic even though the
-	// winning engine may vary from run to run.
+	// EnginePortfolio is the serial schedule FallbackChain(EnginePortfolio):
+	// HQS first, then iDQ only when HQS stops at an engine-local limit
+	// (memout, or its own timeout) while the job budget is still open.
 	EnginePortfolio Engine = "portfolio"
 )
 
-// Engines lists every selectable engine (portfolio arms first).
+// Engines lists every selectable engine (the four runners first).
 var Engines = []Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand, EnginePortfolio}
 
 // ParseEngine maps a user-supplied engine name to an Engine; the empty
@@ -75,26 +74,25 @@ func ParseEngine(s string) (Engine, error) {
 
 // EngineCounters are the per-engine attempt/win totals of the process.
 type EngineCounters struct {
-	// Attempts counts engine runs started (portfolio arms count for the arm's
-	// engine AND one attempt for the portfolio row itself).
+	// Attempts counts runs of this engine started, portfolio and fallback
+	// runs included.
 	Attempts int64 `json:"attempts"`
-	// Wins counts definitive verdicts the engine itself produced; the
-	// portfolio row never wins — its verdicts are credited to the winning arm.
+	// Wins counts definitive verdicts the engine produced.
 	Wins int64 `json:"wins"`
 }
 
 // engineMeters holds the process-global per-engine counters; index by the
-// engine constants above. Atomic because portfolio arms run concurrently.
+// engine constants above. Atomic because the scheduler's workers run
+// concurrently.
 var engineMeters = map[Engine]*struct{ attempts, wins atomic.Int64 }{
-	EngineHQS:       {},
-	EngineIDQ:       {},
-	EngineDefex:     {},
-	EngineExpand:    {},
-	EnginePortfolio: {},
+	EngineHQS:    {},
+	EngineIDQ:    {},
+	EngineDefex:  {},
+	EngineExpand: {},
 }
 
 // EngineStats snapshots the process-wide per-engine attempt/win counters —
-// the answer to "which portfolio arm actually produces the verdicts".
+// the answer to "which engine actually produces the verdicts".
 func EngineStats() map[Engine]EngineCounters {
 	out := make(map[Engine]EngineCounters, len(engineMeters))
 	for eng, m := range engineMeters {
@@ -109,20 +107,6 @@ func ResetEngineStats() {
 		m.attempts.Store(0)
 		m.wins.Store(0)
 	}
-}
-
-// FormatEngineStats renders the counters as a stable one-line-per-engine
-// table in the fixed Engines order.
-func FormatEngineStats(stats map[Engine]EngineCounters) string {
-	var b strings.Builder
-	for _, eng := range Engines {
-		c := stats[eng]
-		if c.Attempts == 0 && c.Wins == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-10s attempts=%-6d wins=%d\n", eng, c.Attempts, c.Wins)
-	}
-	return b.String()
 }
 
 // Verdict is the four-valued answer of a budgeted solve.
@@ -184,8 +168,8 @@ type Outcome struct {
 	// Verdict is the answer (Unknown when the budget stopped the solve,
 	// Error when the solve failed).
 	Verdict Verdict `json:"verdict"`
-	// Engine is the engine that produced the verdict; in portfolio mode the
-	// race winner. Empty when no engine reached a verdict.
+	// Engine is the engine that produced the outcome; in portfolio mode the
+	// last engine of the schedule that ran.
 	Engine Engine `json:"engine,omitempty"`
 	// Reason explains the outcome: "solved", "timeout", "cancelled",
 	// "budget" (conflict/decision cap), "memout" (node/instantiation cap),
@@ -221,33 +205,47 @@ type Outcome struct {
 
 // RunTracedProblem decides an ingested problem (any formula kind, from any
 // input format) with the given engine under budget b (nil means unlimited).
-// It performs exactly one attempt — retries and fallbacks are the
-// scheduler's job — but panics are still isolated into a VerdictError
-// outcome. Outside a scheduler there is no certification setting, so every
-// engine's SAT answer must survive the independent certificate checker
-// before it is reported. The problem is not modified. Conflict/decision
-// meters are read from b, so callers wanting per-call totals should pass a
-// fresh budget per call.
+// It performs one attempt per engine — retries are the scheduler's job —
+// and panics are still isolated into a VerdictError outcome. A named engine
+// runs once; the portfolio walks FallbackChain(EnginePortfolio) once and
+// moves to the next engine only when classify sends it there (an
+// engine-local memout or timeout with b still open). Outside a scheduler
+// there is no certification setting, so every engine's SAT answer must
+// survive the independent certificate checker before it is reported. The
+// problem is not modified. Conflict/decision meters are read from b, so
+// callers wanting per-call totals should pass a fresh budget per call.
 //
-// Every pipeline pass the HQS engine executes (in portfolio mode, the HQS
-// arm) emits one structured trace.Event to sink; a nil sink disables
-// tracing. PQE problems are not engine jobs — route them through SolvePQE.
+// Every pipeline pass an engine executes emits one structured trace.Event
+// to sink; a nil sink disables tracing. PQE problems are not engine jobs —
+// route them through SolvePQE.
 func RunTracedProblem(p *problem.Problem, eng Engine, b *budget.Budget, sink trace.Sink) (Outcome, error) {
-	if _, err := ParseEngine(string(eng)); err != nil {
+	eng, err := ParseEngine(string(eng))
+	if err != nil {
 		return Outcome{}, err
 	}
 	if p.Formula == nil {
 		return Outcome{}, fmt.Errorf("service: %s problem has no formula (use SolvePQE for PQE queries)", p.Kind)
 	}
-	out := runGuarded(p, eng, b, sink, true)
-	out.Attempts = 1
+	chain := []Engine{eng}
+	if eng == EnginePortfolio {
+		chain = FallbackChain(eng)
+	}
+	var out Outcome
+	for i, e := range chain {
+		out = runGuarded(p, e, b, sink, true)
+		out.Attempts, out.Fallbacks = i+1, i
+		if classify(out, b) != dispositionFallback {
+			break
+		}
+	}
 	out.Conflicts = b.ConflictsUsed()
 	out.Decisions = b.DecisionsUsed()
 	return out, nil
 }
 
-// runGuarded executes one engine attempt with panic isolation: a panic
-// anywhere in the engine (or injected by a fault plan) is converted into a
+// runGuarded executes one attempt of a single engine (not the portfolio,
+// which is a schedule over engines) with panic isolation: a panic anywhere
+// in the engine (or injected by a fault plan) is converted into a
 // VerdictError outcome carrying the message and captured stack. certify
 // makes the HQS and defex engines extract a Skolem certificate and have
 // their SAT answers checked; iDQ and expand answers are always checked.
@@ -255,10 +253,7 @@ func runGuarded(p *problem.Problem, eng Engine, b *budget.Budget, sink trace.Sin
 	if m := engineMeters[eng]; m != nil {
 		m.attempts.Add(1)
 		defer func() {
-			// A win is a definitive verdict produced by this engine itself;
-			// the portfolio's verdicts carry the winning arm's name and were
-			// already credited there.
-			if (out.Verdict == VerdictSat || out.Verdict == VerdictUnsat) && out.Engine == eng {
+			if out.Verdict == VerdictSat || out.Verdict == VerdictUnsat {
 				m.wins.Add(1)
 			}
 		}()
@@ -284,7 +279,7 @@ func runGuarded(p *problem.Problem, eng Engine, b *budget.Budget, sink trace.Sin
 	case EngineExpand:
 		return runExpand(p.Formula, b)
 	default:
-		return runPortfolio(p, b, sink, certify)
+		panic(fmt.Sprintf("service: engine %q has no runner", eng))
 	}
 }
 
@@ -446,100 +441,4 @@ func SolvePQE(sp *problem.PQESplit, b *budget.Budget, sink trace.Sink) (res *pqe
 		}
 	}()
 	return pqe.Solve(sp, pqe.Options{Budget: b, Trace: sink})
-}
-
-// PortfolioArms lists the engines the portfolio races, in the order their
-// goroutines are launched.
-var PortfolioArms = []Engine{EngineHQS, EngineIDQ, EngineDefex, EngineExpand}
-
-// runPortfolio races the portfolio arms (HQS, iDQ, defex, expand) on child
-// budgets of b. The first definitive verdict wins and the losers are
-// cancelled; if the parent budget stops first, every child is cancelled.
-// Different engines win on different instance families (HQS on
-// elimination-friendly prefixes, iDQ on refutable instances, defex on
-// definable PEC boxes, expand on tiny universal counts), which is the point
-// of keeping them all live behind one interface.
-//
-// Each arm runs guarded in its own goroutine, so a panicking engine loses
-// the race instead of killing the process; the portfolio reports Error only
-// when no arm produced a verdict and at least one failed outright.
-func runPortfolio(p *problem.Problem, b *budget.Budget, sink trace.Sink, certify bool) Outcome {
-	arms := PortfolioArms
-	buds := make([]*budget.Budget, len(arms))
-	ch := make(chan Outcome, len(arms))
-	cancelAll := func() {
-		for _, cb := range buds {
-			cb.Cancel()
-		}
-	}
-	for i, eng := range arms {
-		buds[i] = b.Child()
-		// Only the HQS arm gets the per-pass trace sink: sinks need not be
-		// safe for concurrent emission from racing pipelines.
-		var armSink trace.Sink
-		if eng == EngineHQS {
-			armSink = sink
-		}
-		go func(eng Engine, cb *budget.Budget, s trace.Sink) {
-			ch <- runGuarded(p, eng, cb, s, certify)
-		}(eng, buds[i], armSink)
-	}
-
-	var winner *Outcome
-	var losers []Outcome
-	doneCh := b.Done()
-	for n := 0; n < len(arms); {
-		select {
-		case o := <-ch:
-			n++
-			if o.Verdict == VerdictSat || o.Verdict == VerdictUnsat {
-				if winner == nil {
-					o := o
-					winner = &o
-					// Cancel the losers; keep draining so every goroutine
-					// finishes before we fold the meters back.
-					cancelAll()
-				}
-			} else {
-				losers = append(losers, o)
-			}
-		case <-doneCh:
-			doneCh = nil
-			cancelAll()
-		}
-	}
-	for _, cb := range buds {
-		b.AddConflicts(cb.ConflictsUsed())
-		b.AddDecisions(cb.DecisionsUsed())
-	}
-	if winner != nil {
-		return *winner
-	}
-	// Both arms came back empty-handed. If the parent budget stopped the
-	// race, report its reason; otherwise merge the arms' outcomes by a fixed
-	// priority (resource exhaustion over failure over cancellation) so the
-	// report does not depend on arrival order.
-	out := Outcome{Verdict: VerdictUnknown, Engine: EnginePortfolio, Reason: "cancelled"}
-	if err := b.Err(); err != nil {
-		out.Reason = reasonFromErr(err)
-		return out
-	}
-	for _, want := range []string{"timeout", "memout", "budget"} {
-		for _, o := range losers {
-			if o.Reason == want {
-				out.Reason = want
-				return out
-			}
-		}
-	}
-	for _, o := range losers {
-		if o.Verdict == VerdictError {
-			out.Verdict = VerdictError
-			out.Reason = "error"
-			out.Error = o.Error
-			out.PanicStack = o.PanicStack
-			return out
-		}
-	}
-	return out
 }

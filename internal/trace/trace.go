@@ -51,7 +51,7 @@ type Event struct {
 }
 
 // Sink consumes a stream of events. Implementations must be safe for
-// concurrent use: portfolio arms and parallel pipelines may share one sink.
+// concurrent use: concurrent jobs and parallel pipelines may share one sink.
 type Sink interface {
 	Emit(Event)
 }
