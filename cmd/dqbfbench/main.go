@@ -11,9 +11,11 @@
 //	dqbfbench -scatter fig4.csv        # also write the Fig. 4 scatter data
 //	dqbfbench -stats                   # print the in-text statistics
 //	dqbfbench -ablation                # design-choice ablations (HQS + defex)
+//	dqbfbench -scaling -width 6        # width-scaling study (default adder)
 //	dqbfbench -export dir/             # write instances as .dqdimacs files
-//	dqbfbench -gate BENCH_pr1.json     # run + fail on regression vs baseline
-//	dqbfbench -compare a.json,b.json   # diff two committed baselines
+//
+// The HQS-vs-iDQ campaign exits 1 after printing Table I if the two solvers
+// decide some instance differently.
 package main
 
 import (
@@ -39,43 +41,13 @@ func main() {
 		parallel   = flag.Int("parallel", 0, "concurrent instances (0 = NumCPU)")
 		workers    = flag.Int("workers", 1, "HQS SAT-sweeping worker pool size per instance (0 = one per CPU)")
 		scatter    = flag.String("scatter", "", "write Figure 4 scatter CSV to this file")
-		baseline   = flag.String("baseline", "", "write a machine-readable campaign baseline (JSON) to this file")
 		stats      = flag.Bool("stats", false, "print the paper's in-text statistics")
 		ablation   = flag.Bool("ablation", false, "run the design-choice ablations (HQS and defex) instead of the HQS-vs-iDQ comparison")
 		scaling    = flag.Bool("scaling", false, "run a width-scaling study for the selected family (default adder)")
 		extensions = flag.Bool("extensions", false, "include the beyond-paper families (mult, mux, circuit)")
 		export     = flag.String("export", "", "write the generated instances as DQDIMACS files into this directory")
-		compare    = flag.String("compare", "", "OLD,NEW: compare two committed baseline JSON files and exit")
-		gate       = flag.String("gate", "", "run the campaign and gate it against this committed baseline JSON (exit 1 on regression)")
-		gateThresh = flag.Float64("gate-threshold", 0.10, "allowed per-family wall-time growth for -gate/-compare (0.10 = +10%)")
 	)
 	flag.Parse()
-
-	if *compare != "" {
-		parts := strings.Split(*compare, ",")
-		if len(parts) != 2 {
-			fatal(fmt.Errorf("-compare wants OLD,NEW, got %q", *compare))
-		}
-		old, err := bench.ReadBaseline(strings.TrimSpace(parts[0]))
-		if err != nil {
-			fatal(err)
-		}
-		cur, err := bench.ReadBaseline(strings.TrimSpace(parts[1]))
-		if err != nil {
-			fatal(err)
-		}
-		cmp := bench.Compare(old, cur)
-		fmt.Print(bench.FormatCompare(cmp))
-		if fails := cmp.Gate(*gateThresh); len(fails) > 0 {
-			fmt.Println("\nregressions:")
-			for _, f := range fails {
-				fmt.Println("  " + f)
-			}
-			os.Exit(1)
-		}
-		fmt.Println("\ngate: PASS")
-		return
-	}
 
 	gen := bench.GenOptions{Count: *count, Seed: *seed, MaxWidth: *width}
 	families := bench.Families
@@ -163,10 +135,6 @@ func main() {
 	}
 	campaign := bench.Run(instances, opt)
 
-	if d := campaign.Disagreements(); len(d) > 0 {
-		fmt.Fprintf(os.Stderr, "WARNING: solver disagreements: %v\n", d)
-	}
-
 	fmt.Printf("\nTable I (timeout %v per instance and solver):\n\n", *timeout)
 	fmt.Print(bench.FormatTableI(bench.TableI(campaign)))
 
@@ -178,31 +146,6 @@ func main() {
 		fmt.Printf("\nFigure 4 scatter data written to %s\n", *scatter)
 	}
 
-	if *baseline != "" {
-		if err := bench.WriteBaseline(*baseline, bench.ComputeBaseline(campaign, opt)); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nBaseline written to %s\n", *baseline)
-	}
-
-	if *gate != "" {
-		old, err := bench.ReadBaseline(*gate)
-		if err != nil {
-			fatal(err)
-		}
-		cmp := bench.Compare(old, bench.ComputeBaseline(campaign, opt))
-		fmt.Printf("\nRegression gate vs %s (threshold +%.0f%%):\n\n", *gate, *gateThresh*100)
-		fmt.Print(bench.FormatCompare(cmp))
-		if fails := cmp.Gate(*gateThresh); len(fails) > 0 {
-			fmt.Println("\nregressions:")
-			for _, f := range fails {
-				fmt.Println("  " + f)
-			}
-			os.Exit(1)
-		}
-		fmt.Println("\ngate: PASS")
-	}
-
 	if *stats {
 		st := bench.ComputeStats(campaign)
 		fmt.Printf("\nIn-text statistics:\n")
@@ -212,6 +155,10 @@ func main() {
 			100*st.MaxUnitPureShare, 100*st.MaxUnitPureShareSlow)
 		fmt.Printf("  geo-mean speedup HQS vs iDQ (both)  : %.1fx\n", st.SpeedupGeoMean)
 		fmt.Printf("  max speedup (TO/MO at budget)       : %.0fx   (paper: up to 10^4)\n", st.MaxSpeedup)
+	}
+
+	if d := campaign.Disagreements(); len(d) > 0 {
+		fatal(fmt.Errorf("HQS and iDQ disagree on %d instance(s): %v", len(d), d))
 	}
 }
 

@@ -127,6 +127,30 @@ func TestCampaignShape(t *testing.T) {
 	}
 }
 
+func TestDisagreements(t *testing.T) {
+	// Only a pair both solvers decided with different verdicts counts; a
+	// verdict against a timeout is no disagreement.
+	res := func(name string, s SolverName, o Outcome, sat bool) RunResult {
+		return RunResult{Instance: name, Solver: s, Outcome: o, Sat: sat}
+	}
+	c := &Campaign{
+		HQS: map[string]RunResult{
+			"agree":  res("agree", SolverHQS, OutcomeSolved, true),
+			"differ": res("differ", SolverHQS, OutcomeSolved, false),
+			"idq-to": res("idq-to", SolverHQS, OutcomeSolved, true),
+		},
+		IDQ: map[string]RunResult{
+			"agree":  res("agree", SolverIDQ, OutcomeSolved, true),
+			"differ": res("differ", SolverIDQ, OutcomeSolved, true),
+			"idq-to": res("idq-to", SolverIDQ, OutcomeTimeout, false),
+		},
+		Order: []Instance{{Name: "agree"}, {Name: "differ"}, {Name: "idq-to"}},
+	}
+	if d := c.Disagreements(); len(d) != 1 || d[0] != "differ" {
+		t.Fatalf("Disagreements = %v, want [differ]", d)
+	}
+}
+
 func TestOutcomeString(t *testing.T) {
 	if OutcomeSolved.String() != "solved" || OutcomeTimeout.String() != "TO" || OutcomeMemout.String() != "MO" {
 		t.Fatal("Outcome.String broken")

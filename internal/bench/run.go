@@ -56,16 +56,8 @@ type RunResult struct {
 	ElimSetSeconds  float64
 	UnitPureSeconds float64
 
-	// HQS SAT-sweeping substrate counters (zero for iDQ).
-	SweepSatCalls  int
-	SweepMerged    int
-	ArenaPeakBytes int
-	Compactions    int64
-
-	// Persistent-oracle reuse counters (zero for iDQ and with FreshOracle).
-	OracleQueries     int64
-	OracleIncremental int64
-	OracleRebuilds    int64
+	// SAT calls made by HQS's sweeping passes (zero for iDQ).
+	SweepSatCalls int
 }
 
 // RunOptions configure a benchmark campaign.
@@ -100,8 +92,6 @@ func RunHQS(inst Instance, opt RunOptions) RunResult {
 	o.NodeLimit = opt.HQSNodeLimit
 	start := time.Now()
 	res := core.New(o).Solve(problem.FromDQBF(inst.Formula))
-	sw := res.Stats.Sweep
-	sw.Add(res.Stats.QBF.Sweep)
 	rr := RunResult{
 		Instance:        inst.Name,
 		Family:          inst.Family,
@@ -110,14 +100,7 @@ func RunHQS(inst Instance, opt RunOptions) RunResult {
 		Seconds:         time.Since(start).Seconds(),
 		ElimSetSeconds:  res.Stats.ElimSetTime.Seconds(),
 		UnitPureSeconds: res.Stats.UnitPureTime.Seconds(),
-		SweepSatCalls:   sw.SatCalls,
-		SweepMerged:     sw.Merged,
-		ArenaPeakBytes:  sw.ArenaBytes,
-		Compactions:     sw.Compactions,
-
-		OracleQueries:     res.Stats.Oracle.Queries,
-		OracleIncremental: res.Stats.Oracle.Incremental,
-		OracleRebuilds:    res.Stats.Oracle.Rebuilds,
+		SweepSatCalls:   res.Stats.Sweep.SatCalls + res.Stats.QBF.Sweep.SatCalls,
 	}
 	switch res.Status {
 	case core.Solved:
